@@ -4,8 +4,7 @@
 //   1. Steady-state ingest — a healthy three-app fleet (RUBiS + System S +
 //      Hadoop, 20 components) streamed through OnlineMonitor::ingest /
 //      observe / pump. Reports wall-clock samples/sec through the full path
-//      (ring retention + slave ingest RPC + SLO bookkeeping) and the ring's
-//      peak occupancy against its byte-capped capacity.
+//      (ingest routing + slave ingest RPC + SLO bookkeeping).
 //
 //   2. Trigger latency — repeated RUBiS CpuHog incidents; for each, the
 //      wall time from the SLO latch to the finished pinpoint (the
@@ -26,11 +25,10 @@
 // monitor's full metric registry plus the bench-level aggregates — as JSON
 // to bench_online_throughput.json, so CI can archive and diff runs.
 //
-// Exit status is a gate, not just a report: nonzero when the ring ever
-// exceeds its configured capacity, when no incident triggers, when the
-// optimized signal engine is less than 3x the in-binary reference engine
-// (a self-relative floor, so it holds on any hardware), or when the signal
-// path allocates at all per steady-state sample.
+// Exit status is a gate, not just a report: nonzero when no incident
+// triggers, when the optimized signal engine is less than 3x the in-binary
+// reference engine (a self-relative floor, so it holds on any hardware), or
+// when the signal path allocates at all per steady-state sample.
 //
 // Usage: bench_online_throughput [steady_ticks] [trials] [base_seed]
 #include <array>
@@ -130,15 +128,11 @@ struct SteadyStateResult {
   double samples_per_sec = 0.0;
   double wall_ms = 0.0;
   std::uint64_t samples = 0;
-  std::size_t ring_peak = 0;
-  std::size_t ring_capacity = 0;
-  bool ring_overflow = false;
 };
 
 SteadyStateResult benchSteadyState(std::size_t ticks, std::uint64_t seed) {
   online::OnlineMonitorConfig config;
   config.worker_threads = 0;
-  config.max_ring_bytes = 768 * 1024;
   online::OnlineMonitor monitor(std::move(config));
 
   auto fleet = healthyFleet(ticks, seed);
@@ -162,7 +156,6 @@ SteadyStateResult benchSteadyState(std::size_t ticks, std::uint64_t seed) {
   }
 
   SteadyStateResult result;
-  result.ring_capacity = monitor.ringCapacity();
   const sim::StreamingSource::SampleSink sink =
       [&](const sim::StreamSample& sample) { monitor.ingest(sample); };
 
@@ -173,16 +166,11 @@ SteadyStateResult benchSteadyState(std::size_t ticks, std::uint64_t seed) {
       monitor.observe(app_index[a], st);
     }
     monitor.pump();
-    if (monitor.ringOccupancy() > monitor.ringCapacity()) {
-      result.ring_overflow = true;
-    }
   }
   result.wall_ms = msSince(t0);
 
   const auto snapshot = monitor.metrics().snapshot();
   result.samples = snapshot.counters.at("online.ingest_samples");
-  result.ring_peak =
-      static_cast<std::size_t>(snapshot.gauges.at("online.ring_peak"));
   result.samples_per_sec =
       static_cast<double>(result.samples) / (result.wall_ms / 1000.0);
   return result;
@@ -213,9 +201,7 @@ TriggerResult benchTriggerLatency(std::size_t trials, std::uint64_t seed) {
     fault.intensity = 1.35;
     config.faults = {fault};
 
-    online::OnlineMonitorConfig monitor_config;
-    monitor_config.max_ring_bytes = 768 * 1024;
-    online::OnlineMonitor monitor(std::move(monitor_config));
+    online::OnlineMonitor monitor;
     sim::StreamingSource source(config);
     core::FChainSlave slave(0);
     for (ComponentId id : source.componentIds()) slave.addComponent(id, 0);
@@ -443,10 +429,7 @@ void writeJsonReport(const SteadyStateResult& steady,
   out << "{\n  \"steady_state\": {\n";
   out << "    \"samples\": " << steady.samples << ",\n";
   out << "    \"wall_ms\": " << steady.wall_ms << ",\n";
-  out << "    \"ingest_samples_per_sec\": " << steady.samples_per_sec << ",\n";
-  out << "    \"ring_peak\": " << steady.ring_peak << ",\n";
-  out << "    \"ring_capacity\": " << steady.ring_capacity << ",\n";
-  out << "    \"ring_overflow\": " << (steady.ring_overflow ? "true" : "false")
+  out << "    \"ingest_samples_per_sec\": " << steady.samples_per_sec
       << "\n  },\n";
   out << "  \"trigger\": {\n";
   out << "    \"trials\": " << trigger.trials << ",\n";
@@ -490,11 +473,8 @@ int main(int argc, char** argv) {
   std::printf("Part 1: steady-state ingest (3 apps, 20 components, healthy)\n");
   std::printf("  %-28s %10.0f samples/s\n", "ingest throughput",
               steady.samples_per_sec);
-  std::printf("  %-28s %10llu samples in %.1f ms\n", "streamed",
+  std::printf("  %-28s %10llu samples in %.1f ms\n\n", "streamed",
               static_cast<unsigned long long>(steady.samples), steady.wall_ms);
-  std::printf("  %-28s %10zu / %zu samples%s\n\n", "ring peak / capacity",
-              steady.ring_peak, steady.ring_capacity,
-              steady.ring_overflow ? "  ** OVERFLOW **" : "");
 
   const TriggerResult trigger = benchTriggerLatency(trials, seed);
   std::printf("Part 2: violation -> pinpoint (RUBiS CpuHog on db)\n");
@@ -526,10 +506,6 @@ int main(int argc, char** argv) {
   std::printf("\nwrote bench_online_throughput.json\n");
   benchutil::maybeDumpTrace("bench_online_throughput");
 
-  if (steady.ring_overflow) {
-    std::printf("FAIL: ring exceeded its capacity\n");
-    return 1;
-  }
   if (trigger.triggered == 0) {
     std::printf("FAIL: no trial auto-triggered a localization\n");
     return 1;

@@ -165,7 +165,6 @@ MasterRuntimeStats FChainMaster::runtimeStats() const {
 void FChainMaster::mergeStats(const MasterRuntimeStats& delta) {
   metric_requests_.add(delta.requests);
   metric_retries_.add(delta.retries);
-  metric_retries_total_.add(delta.retries);
   metric_failures_.add(delta.failures);
   metric_backoff_ms_.add(delta.simulated_backoff_ms);
   metric_watchdog_trips_.add(delta.watchdog_trips);

@@ -142,9 +142,8 @@ class FChainMaster {
   MasterRuntimeStats runtimeStats() const;
 
   /// This master's metric registry. Registry metric names:
-  ///   master.requests / master.retries / master.failures   (counters)
-  ///   master.retries_total   (counter: alias of master.retries under the
-  ///                           fleet-dashboard naming convention)
+  ///   master.requests / master.retries / master.failures   (counters,
+  ///                           lifetime totals — never reset)
   ///   master.watchdog_trips  (counter: endpoint calls abandoned on timeout)
   ///   master.breaker_opens   (counter: circuit breakers opened)
   ///   master.deadline_skips  (counter: components shed by the deadline)
@@ -232,8 +231,6 @@ class FChainMaster {
   obs::MetricRegistry registry_;
   obs::Counter& metric_requests_ = registry_.counter("master.requests");
   obs::Counter& metric_retries_ = registry_.counter("master.retries");
-  obs::Counter& metric_retries_total_ =
-      registry_.counter("master.retries_total");
   obs::Counter& metric_failures_ = registry_.counter("master.failures");
   obs::Counter& metric_watchdog_trips_ =
       registry_.counter("master.watchdog_trips");

@@ -8,38 +8,9 @@
 
 namespace fchain::online {
 
-namespace {
-
-TimeSec deriveRetention(const OnlineMonitorConfig& config) {
-  if (config.retention_sec > 0) return config.retention_sec;
-  const core::FChainConfig& f = config.fchain;
-  // Everything an incident analysis can reach backward into: the look-back
-  // window itself, the predictor's error-history floor before it, the burst
-  // half-window on both sides of a change point, the concurrency window,
-  // plus a little slack for the selector's +1 clamps.
-  return f.lookback_sec + f.history_error_window_sec +
-         2 * f.burst_half_window_sec + f.concurrency_threshold_sec + 8;
-}
-
-}  // namespace
-
 OnlineMonitor::OnlineMonitor(OnlineMonitorConfig config)
-    : config_(std::move(config)),
-      retention_sec_(deriveRetention(config_)),
-      master_(config_.fchain, config_.retry),
-      ring_(static_cast<std::size_t>(retention_sec_)) {
+    : config_(std::move(config)), master_(config_.fchain, config_.retry) {
   master_.setWorkerThreads(config_.worker_threads);
-}
-
-void OnlineMonitor::recomputeRingBudget() {
-  std::size_t per_component = static_cast<std::size_t>(retention_sec_);
-  const std::size_t n = ring_.componentCount();
-  if (config_.max_ring_bytes > 0 && n > 0) {
-    const std::size_t budget =
-        config_.max_ring_bytes / (TelemetryRing::kBytesPerSample * n);
-    per_component = std::max<std::size_t>(1, std::min(per_component, budget));
-  }
-  ring_.setCapacityPerComponent(per_component);
 }
 
 void OnlineMonitor::addSlave(core::FChainSlave* slave) {
@@ -53,11 +24,7 @@ void OnlineMonitor::addEndpoint(
   master_.registerEndpoint(endpoint, components);  // throws on dup claims
   const std::size_t index = transports_.size();
   transports_.push_back({std::move(endpoint)});
-  for (ComponentId id : components) {
-    ingest_routes_[id] = index;
-    ring_.addComponent(id);
-  }
-  recomputeRingBudget();
+  for (ComponentId id : components) ingest_routes_[id] = index;
 }
 
 std::size_t OnlineMonitor::addApplication(AppSpec spec) {
@@ -103,18 +70,13 @@ void OnlineMonitor::setIncidentJournal(persist::IncidentJournal* journal) {
 void OnlineMonitor::ingest(ComponentId id, TimeSec t,
                            const std::array<double, kMetricCount>& sample) {
   clock_ = std::max(clock_, t);
-  const std::size_t evictions_before = ring_.evictions();
-  if (!ring_.push(id, t, sample)) {
-    // Unroutable component: nothing owns it, nothing retains it.
+  const auto route = ingest_routes_.find(id);
+  if (route == ingest_routes_.end()) {
+    // Unroutable component: no registered slave owns it.
     metric_ingest_failures_.add();
     return;
   }
   metric_ingest_samples_.add();
-  metric_ring_evictions_.add(ring_.evictions() - evictions_before);
-  metric_ring_occupancy_.set(static_cast<double>(ring_.occupancy()));
-  if (static_cast<double>(ring_.occupancy()) > metric_ring_peak_.value()) {
-    metric_ring_peak_.set(static_cast<double>(ring_.occupancy()));
-  }
 
   runtime::IngestRequest request;
   request.component = id;
@@ -124,7 +86,7 @@ void OnlineMonitor::ingest(ComponentId id, TimeSec t,
   // Fire-and-forget: no retries (header contract). The slave's gap-fill
   // repairs a lost second on the next arrival.
   const runtime::IngestReply reply =
-      transports_[ingest_routes_.at(id)].endpoint->ingest(request);
+      transports_[route->second].endpoint->ingest(request);
   if (reply.status != runtime::EndpointStatus::Ok) {
     metric_ingest_failures_.add();
   }

@@ -8,9 +8,12 @@
 // *triggered by* the violation, not requested by an operator. OnlineMonitor
 // closes that loop:
 //
-//   StreamingSource ──samples──▶ ingest() ──▶ TelemetryRing (bounded)
-//                                      └────▶ SlaveEndpoint::ingest RPC
+//   StreamingSource ──samples──▶ ingest() ──▶ SlaveEndpoint::ingest RPC
 //                  ──SLO signal─▶ observe*() ──latch──▶ FChainMaster::localize
+//
+// The master keeps no copy of the telemetry: the owning slave holds each
+// component's history (paper §II), and the master needs only the violation
+// time to start a localization.
 //
 // Triggering semantics (all in deterministic *sample* time, never wall
 // time, so a replayed stream reproduces the same incidents bit-for-bit):
@@ -47,6 +50,7 @@
 //      late incident fans out.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -57,7 +61,6 @@
 #include <vector>
 
 #include "fchain/master.h"
-#include "online/ring.h"
 #include "sim/slo.h"
 #include "sim/stream.h"
 
@@ -87,17 +90,6 @@ struct AppSpec {
 struct OnlineMonitorConfig {
   core::FChainConfig fchain;
   runtime::RetryPolicy retry;
-
-  /// Seconds of telemetry retained per component in the master-side ring.
-  /// 0 derives the window every analysis path can reach backward into:
-  /// look-back W + predictor error history + 2Q burst margin + concurrency
-  /// window + a small slack.
-  TimeSec retention_sec = 0;
-
-  /// Hard cap on the ring's total sample footprint in (approximate) bytes;
-  /// when the derived retention would exceed it, the per-component window
-  /// shrinks to fit. 0 = no byte cap beyond retention_sec.
-  std::size_t max_ring_bytes = 0;
 
   /// Seconds of sample time after a trigger during which further latches
   /// queue instead of firing (localization storm control).
@@ -194,8 +186,8 @@ class OnlineMonitor {
 
   // --- Streaming ---------------------------------------------------------
 
-  /// Feeds one component-second: retains it in the ring and pushes it to
-  /// the owning slave. Advances the monitor's sample clock.
+  /// Feeds one component-second to the owning slave. Advances the
+  /// monitor's sample clock.
   void ingest(ComponentId id, TimeSec t,
               const std::array<double, kMetricCount>& sample);
   void ingest(const sim::StreamSample& sample) {
@@ -228,25 +220,17 @@ class OnlineMonitor {
   const std::vector<OnlineIncident>& incidents() const { return incidents_; }
   std::size_t pendingTriggers() const { return pending_.size(); }
   TimeSec clock() const { return clock_; }
-  TimeSec retentionSec() const { return retention_sec_; }
-
-  const TelemetryRing& ring() const { return ring_; }
-  std::size_t ringOccupancy() const { return ring_.occupancy(); }
-  std::size_t ringCapacity() const { return ring_.capacity(); }
 
   core::FChainMaster& master() { return master_; }
   const core::FChainMaster& master() const { return master_; }
 
   /// The master's registry, extended with the monitor's own instruments:
-  ///   online.ingest_samples    (counter: samples accepted into the ring)
+  ///   online.ingest_samples    (counter: samples routed to a slave)
   ///   online.ingest_failures   (counter: ingest RPCs lost / unroutable)
-  ///   online.ring_evictions    (counter: samples scrolled out of the ring)
   ///   online.slo_latches       (counter: SLO violations latched)
   ///   online.triggers          (counter: localizations auto-triggered)
   ///   online.incidents_queued  (counter: latches deferred by a cooldown)
   ///   online.incidents_dropped (counter: latches shed by the queue bound)
-  ///   online.ring_occupancy    (gauge: retained samples, current)
-  ///   online.ring_peak         (gauge: retained samples, high-water)
   ///   online.trigger_latency_ms (histogram: latch-to-pinpoint wall time of
   ///                              synchronously fired incidents; queued
   ///                              incidents additionally report their
@@ -276,15 +260,12 @@ class OnlineMonitor {
   bool latch(std::size_t app, TimeSec tv);
   void fire(std::size_t app, TimeSec tv);
   bool cooldownExpired() const;
-  void recomputeRingBudget();
   /// Advances the re-arm state machine; returns true while handled (the
   /// caller must then skip the latched monitor).
   bool updateRearm(AppState& state, double signal_good);
 
   OnlineMonitorConfig config_;
-  TimeSec retention_sec_ = 0;
   core::FChainMaster master_;
-  TelemetryRing ring_;
 
   struct Transport {
     std::shared_ptr<runtime::SlaveEndpoint> endpoint;
@@ -307,8 +288,6 @@ class OnlineMonitor {
       master_.metrics().counter("online.ingest_samples");
   obs::Counter& metric_ingest_failures_ =
       master_.metrics().counter("online.ingest_failures");
-  obs::Counter& metric_ring_evictions_ =
-      master_.metrics().counter("online.ring_evictions");
   obs::Counter& metric_slo_latches_ =
       master_.metrics().counter("online.slo_latches");
   obs::Counter& metric_triggers_ = master_.metrics().counter("online.triggers");
@@ -316,9 +295,6 @@ class OnlineMonitor {
       master_.metrics().counter("online.incidents_queued");
   obs::Counter& metric_incidents_dropped_ =
       master_.metrics().counter("online.incidents_dropped");
-  obs::Gauge& metric_ring_occupancy_ =
-      master_.metrics().gauge("online.ring_occupancy");
-  obs::Gauge& metric_ring_peak_ = master_.metrics().gauge("online.ring_peak");
   obs::Histogram& metric_trigger_latency_ms_ = master_.metrics().histogram(
       "online.trigger_latency_ms",
       {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0,

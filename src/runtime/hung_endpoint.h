@@ -70,6 +70,14 @@ class HungEndpoint final : public SlaveEndpoint {
     return in_flight_;
   }
 
+  /// Calls currently parked in the hang window. inFlight() counts a call
+  /// before it parks, so a test that must act on a *parked* call (e.g.
+  /// releaseWithTornReply) waits on this instead.
+  int parked() const {
+    std::lock_guard<std::mutex> g(m_);
+    return parked_;
+  }
+
   HostId host() const override { return inner_->host(); }
 
   ComponentListReply listComponents() override {

@@ -16,6 +16,13 @@ struct CaseFloor {
   double min_f1;
 };
 
+// Without this gtest prints the raw bytes of the struct, label pointer
+// included, so the listed test names would change with the address-space
+// layout of every run. The label is already the name suffix.
+void PrintTo(const CaseFloor& floor, std::ostream* os) {
+  *os << "min F1 " << floor.min_f1;
+}
+
 class PaperCase : public ::testing::TestWithParam<CaseFloor> {};
 
 TEST_P(PaperCase, FChainF1StaysAboveFloor) {

@@ -508,7 +508,8 @@ TEST(SocketTransport, HungEndpointTornReleaseAbandonsParkedCalls) {
     batch.violation_time = 100;
     parked_status = endpoint->analyzeBatch(batch).status;
   });
-  while (endpoint->inFlight() == 0) std::this_thread::yield();
+  // inFlight() rises before the call parks; only a parked call is torn.
+  while (endpoint->parked() == 0) std::this_thread::yield();
   // The peer dies mid-send: the parked call comes back Dropped, having
   // never reached the slave.
   endpoint->releaseWithTornReply();
