@@ -4,8 +4,9 @@
 //       run one scenario (e.g. RUBiS/CpuHog) and archive the incident
 //       record — exactly what a monitoring deployment would have logged.
 //   fchain_cli diagnose <in.rec>
-//       re-diagnose an archived incident: black-box dependency discovery +
-//       FChain with the adaptive look-back window.
+//       re-diagnose an archived incident with core::diagnoseIncident
+//       (black-box dependency discovery + FChain with the adaptive look-back
+//       window) and print its report next to the archived ground truth.
 //   fchain_cli export <in.rec> <metrics.csv>
 //       dump the 1 Hz metric matrix as CSV for plotting.
 //   fchain_cli cases
@@ -16,8 +17,7 @@
 
 #include "eval/exporter.h"
 #include "eval/runner.h"
-#include "fchain/adaptive.h"
-#include "netdep/dependency.h"
+#include "fchain/incident.h"
 #include "sim/record_io.h"
 
 using namespace fchain;
@@ -67,36 +67,9 @@ int cmdSimulate(const std::string& label, std::uint64_t seed,
 
 int cmdDiagnose(const std::string& in_path) {
   const auto record = sim::loadRecord(in_path);
-  if (!record.violation_time.has_value()) {
-    std::printf("record carries no SLO violation; nothing to diagnose\n");
-    return 0;
-  }
-  const auto dependencies = netdep::discoverDependencies(record);
-  std::printf("dependencies discovered: %zu edges\n",
-              dependencies.edgeCount());
-
-  const auto adaptive =
-      core::localizeRecordAdaptive(record, &dependencies);
-  std::printf("look-back window: %lld s (%zu rung%s tried)\n",
-              static_cast<long long>(adaptive.chosen_window),
-              adaptive.rungs_tried, adaptive.rungs_tried == 1 ? "" : "s");
-  if (adaptive.result.external_factor) {
-    std::printf("verdict: EXTERNAL FACTOR (%s trend)\n",
-                std::string(trendName(adaptive.result.external_trend)).c_str());
-    return 0;
-  }
-  std::printf("propagation chain:");
-  for (const auto& finding : adaptive.result.chain) {
-    std::printf(" %s@%lld",
-                record.app_spec.components[finding.component].name.c_str(),
-                static_cast<long long>(finding.onset));
-  }
-  std::printf("\npinpointed:");
-  for (ComponentId id : adaptive.result.pinpointed) {
-    std::printf(" %s", record.app_spec.components[id].name.c_str());
-  }
-  std::printf("\n");
-  if (!record.ground_truth.empty()) {
+  const auto report = core::diagnoseIncident(record);
+  std::printf("%s", core::formatIncidentReport(report, record).c_str());
+  if (report.diagnosed && !record.ground_truth.empty()) {
     std::printf("(archived ground truth:");
     for (ComponentId id : record.ground_truth) {
       std::printf(" %s", record.app_spec.components[id].name.c_str());

@@ -461,15 +461,4 @@ PinpointResult FChainMaster::localizeParallel(
   return result;
 }
 
-PinpointResult FChainMaster::localizeAndValidate(
-    const std::vector<ComponentId>& components, TimeSec violation_time,
-    const sim::Simulation& snapshot, const ValidationConfig& validation) {
-  PinpointResult result = localize(components, violation_time);
-  if (result.external_factor || result.pinpointed.empty()) return result;
-  FCHAIN_SPAN("master.validate");
-  OnlineValidator validator(validation);
-  result.pinpointed = validator.validate(snapshot, result);
-  return result;
-}
-
 }  // namespace fchain::core

@@ -1,9 +1,10 @@
 // FChain master (paper Fig. 1): runs on a dedicated server. When the SLO
 // monitor reports a performance anomaly at time tv, the master fans the
 // analysis request out to the slaves hosting the failing application's VMs,
-// collects their abnormal-change findings, runs integrated pinpointing
-// against the (offline-discovered) dependency graph, and optionally runs the
-// online validation pass to shed false alarms.
+// collects their abnormal-change findings, and runs integrated pinpointing
+// against the (offline-discovered) dependency graph. The optional online
+// validation pass that sheds false alarms (validation.h) runs on the
+// master's result; core::diagnoseIncident (incident.h) chains the two.
 //
 // Slaves are reached through the runtime::SlaveEndpoint seam, so the master
 // survives an unreliable monitoring plane: every analysis request carries a
@@ -38,7 +39,6 @@
 
 #include "fchain/pinpoint.h"
 #include "fchain/slave.h"
-#include "fchain/validation.h"
 #include "obs/metrics.h"
 #include "persist/journal.h"
 #include "runtime/breaker.h"
@@ -105,9 +105,6 @@ class FChainMaster {
     dependencies_ = std::move(graph);
   }
 
-  const runtime::RetryPolicy& retryPolicy() const { return retry_; }
-  void setRetryPolicy(runtime::RetryPolicy retry) { retry_ = retry; }
-
   /// Enables wall-time bounding of localization (see runtime/watchdog.h):
   /// per-call watchdog, whole-localize deadline, and per-endpoint circuit
   /// breakers that shed repeatedly hanging endpoints into degraded-mode
@@ -168,12 +165,6 @@ class FChainMaster {
   /// master / worker-pool / slave / signal-kernel spans.
   PinpointResult localize(const std::vector<ComponentId>& components,
                           TimeSec violation_time);
-
-  /// Localize + online validation against a simulation snapshot.
-  PinpointResult localizeAndValidate(
-      const std::vector<ComponentId>& components, TimeSec violation_time,
-      const sim::Simulation& snapshot,
-      const ValidationConfig& validation = {});
 
  private:
   struct Endpoint {

@@ -86,7 +86,6 @@ class FChainSlave {
   /// analyzeBatch. Deployment-time configuration: size to the host cores
   /// Domain 0 may burn on diagnosis.
   void setAnalysisThreads(int threads);
-  int analysisThreads() const;
 
   /// Captures the slave's complete learned state — every VM's repaired
   /// metric series, the six per-metric predictors (discretizer calibration,

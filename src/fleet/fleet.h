@@ -142,10 +142,6 @@ class FleetMaster {
   obs::MetricRegistry& metrics() { return registry_; }
   const obs::MetricRegistry& metrics() const { return registry_; }
 
-  /// Sum of every shard master's metric snapshot plus the fleet's own —
-  /// the flat view a fleet dashboard scrapes (obs::mergeInto).
-  obs::MetricsSnapshot fleetMetricsSnapshot() const;
-
  private:
   /// One endpoint × slice registration, retained so a crashed shard's
   /// master can be rebuilt with identical routing.

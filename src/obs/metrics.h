@@ -119,12 +119,6 @@ class MetricRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/// Sums `from` into `into` (fleet dashboards: one flat view over many
-/// per-shard registries): counters and gauges add; histograms add
-/// bucket-wise. A histogram present in both with different bounds throws
-/// std::invalid_argument — the same name must mean the same instrument.
-void mergeInto(MetricsSnapshot& into, const MetricsSnapshot& from);
-
 /// Process-global registry for instruments with no narrower owner.
 MetricRegistry& metrics();
 

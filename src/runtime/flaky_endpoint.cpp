@@ -12,7 +12,7 @@ FlakyEndpoint::FlakyEndpoint(std::shared_ptr<SlaveEndpoint> inner,
 EndpointStatus FlakyEndpoint::roll(std::uint64_t index, TimeSec now,
                                    double deadline_ms,
                                    double* latency_ms) const {
-  if (down_ || index < config_.fail_first) return EndpointStatus::Unavailable;
+  if (index < config_.fail_first) return EndpointStatus::Unavailable;
   for (const auto& [from, to] : config_.outage_windows) {
     if (now >= from && now < to) return EndpointStatus::Unavailable;
   }

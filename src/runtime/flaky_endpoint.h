@@ -55,12 +55,6 @@ class FlakyEndpoint final : public SlaveEndpoint {
   /// timestamp (streaming has no violation_time yet).
   IngestReply ingest(const IngestRequest& request) override;
 
-  /// Hard kill switch (e.g. driven by sim::TelemetryFaultInjector's slave
-  /// outage windows): while set, every request fails Unavailable.
-  void setDown(bool down) { down_ = down; }
-  bool isDown() const { return down_; }
-
-  std::size_t requestCount() const { return requests_; }
   /// Requests whose reply was truncated mid-frame (torn_reply_probability).
   std::size_t tornReplies() const { return torn_replies_; }
 
@@ -72,7 +66,6 @@ class FlakyEndpoint final : public SlaveEndpoint {
 
   std::shared_ptr<SlaveEndpoint> inner_;
   FlakyConfig config_;
-  bool down_ = false;
   std::uint64_t requests_ = 0;
   /// Counted inside the (logically const) fate roll.
   mutable std::size_t torn_replies_ = 0;

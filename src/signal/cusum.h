@@ -9,20 +9,16 @@
 // change points, most of which are normal workload fluctuation — filtering
 // them is FChain's job, not CUSUM's.
 //
-// Two bootstrap drivers:
-//   - PooledPermutations (default, the hot-path engine): resampling
-//     permutations are a pure function of (seed, rounds, segment length),
-//     served from SignalScratch's permutation pool and applied by gather —
-//     no per-round shuffle, no RNG in the loop, and the permutation-
-//     invariant segment mean is hoisted out of the rounds. Because segments
-//     no longer share RNG state, a segment whose significance is already
-//     decided aborts its remaining rounds early (the decision is provably
-//     unchanged), which is where most of the speedup on fault-free metrics
-//     comes from.
-//   - ThreadedRng (the original engine): one RNG threaded through the whole
-//     segmentation recursion, Fisher-Yates shuffle per round. Kept
-//     bit-identical to the pre-scratch implementation (the identity test
-//     pins it against the frozen reference engine).
+// The bootstrap draws its resampling permutations from SignalScratch's
+// permutation pool, a pure function of (seed, rounds, segment length), and
+// applies them by gather — no per-round shuffle, no RNG in the loop, and the
+// permutation-invariant segment mean is hoisted out of the rounds. Because
+// segments share no RNG state, a segment whose significance is already
+// decided aborts its remaining rounds early (the decision is provably
+// unchanged), which is where most of the speed on fault-free metrics comes
+// from. The frozen reference engine (signal/reference.h) keeps the original
+// threaded-RNG Fisher-Yates bootstrap; the drawn permutations differ, so
+// borderline confidences can differ in the last few bootstrap counts.
 #pragma once
 
 #include <cstdint>
@@ -32,16 +28,6 @@
 namespace fchain::signal {
 
 class SignalScratch;
-
-enum class BootstrapMode : std::uint8_t {
-  /// Per-segment-length permutation pool + gathered resampling + early
-  /// exit. Statistically the same test; the drawn permutations differ from
-  /// ThreadedRng, so borderline confidences can differ in the last few
-  /// bootstrap counts.
-  PooledPermutations,
-  /// The original behaviour: one RNG threaded through the recursion.
-  ThreadedRng,
-};
 
 struct CusumConfig {
   /// Bootstrap resamples per segment decision.
@@ -53,10 +39,9 @@ struct CusumConfig {
   std::size_t min_segment = 6;
   /// Safety bound on recursion (maximum number of change points returned).
   std::size_t max_change_points = 64;
-  /// Seed for the bootstrap shuffles; fixed so detection is deterministic.
+  /// Seed for the bootstrap permutations; fixed so detection is
+  /// deterministic.
   std::uint64_t seed = 0xc0521bULL;
-  /// Bootstrap driver (see the header comment).
-  BootstrapMode bootstrap = BootstrapMode::PooledPermutations;
 };
 
 struct ChangePoint {

@@ -1,10 +1,9 @@
 #include "signal/fft.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
-
-#include "obs/trace.h"
 
 namespace fchain::signal {
 
@@ -12,61 +11,32 @@ namespace {
 
 bool isPow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-/// Cooley-Tukey iterative radix-2 with bit-reversal permutation.
-/// `inverse` flips the twiddle sign; normalization is the caller's job.
-/// When `plan` is non-null its precomputed permutation and twiddle tables
-/// are used; the tables hold the exact values the recurrence below produces,
-/// so both paths are bit-identical.
+/// Cooley-Tukey iterative radix-2 over the plan's precomputed permutation
+/// and twiddle tables. `inverse` selects the inverse twiddles;
+/// normalization is the caller's job.
 void transform(std::complex<double>* data, std::size_t n, bool inverse,
-               const FftPlan* plan) {
+               const FftPlan& plan) {
   if (n <= 1) return;
-  if (!isPow2(n)) throw std::invalid_argument("fft: size not a power of two");
 
-  // Bit-reversal permutation.
-  if (plan != nullptr) {
-    for (std::size_t i = 1; i < n; ++i) {
-      const std::size_t j = plan->bitrev[i];
-      if (i < j) std::swap(data[i], data[j]);
-    }
-  } else {
-    for (std::size_t i = 1, j = 0; i < n; ++i) {
-      std::size_t bit = n >> 1;
-      for (; j & bit; bit >>= 1) j ^= bit;
-      j ^= bit;
-      if (i < j) std::swap(data[i], data[j]);
-    }
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::size_t j = plan.bitrev[i];
+    if (i < j) std::swap(data[i], data[j]);
   }
 
   std::size_t stage_offset = 0;
   for (std::size_t len = 2; len <= n; len <<= 1) {
     const std::size_t half = len / 2;
-    if (plan != nullptr) {
-      const std::complex<double>* tw =
-          (inverse ? plan->inverse : plan->forward).data() + stage_offset;
-      for (std::size_t i = 0; i < n; i += len) {
-        for (std::size_t k = 0; k < half; ++k) {
-          const std::complex<double> u = data[i + k];
-          const std::complex<double> v = data[i + k + half] * tw[k];
-          data[i + k] = u + v;
-          data[i + k + half] = u - v;
-        }
-      }
-      stage_offset += half;
-      continue;
-    }
-    const double angle =
-        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
-    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
+    const std::complex<double>* tw =
+        (inverse ? plan.inverse : plan.forward).data() + stage_offset;
     for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
       for (std::size_t k = 0; k < half; ++k) {
         const std::complex<double> u = data[i + k];
-        const std::complex<double> v = data[i + k + half] * w;
+        const std::complex<double> v = data[i + k + half] * tw[k];
         data[i + k] = u + v;
         data[i + k + half] = u - v;
-        w *= wlen;
       }
     }
+    stage_offset += half;
   }
 }
 
@@ -78,8 +48,9 @@ void fillTwiddles(std::size_t n, bool inverse,
     const double angle =
         (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
     const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-    // The exact accumulated-product sequence the direct transform computes
-    // per block: identical rounding, hence bit-identical butterflies.
+    // The exact accumulated-product sequence the reference transform
+    // computes per block: identical rounding, hence bit-identical
+    // butterflies.
     std::complex<double> w(1.0, 0.0);
     for (std::size_t k = 0; k < len / 2; ++k) {
       out.push_back(w);
@@ -116,44 +87,20 @@ FftPlan FftPlan::make(std::size_t n) {
   return plan;
 }
 
-void fftInPlace(std::vector<std::complex<double>>& data) {
-  transform(data.data(), data.size(), /*inverse=*/false, nullptr);
-}
-
-void ifftInPlace(std::vector<std::complex<double>>& data) {
-  transform(data.data(), data.size(), /*inverse=*/true, nullptr);
-  const double inv = 1.0 / static_cast<double>(data.size());
-  for (auto& x : data) x *= inv;
-}
-
 void fftInPlace(std::span<std::complex<double>> data, const FftPlan& plan) {
   if (data.size() != plan.n) {
     throw std::invalid_argument("fftInPlace: plan size mismatch");
   }
-  transform(data.data(), data.size(), /*inverse=*/false, &plan);
+  transform(data.data(), data.size(), /*inverse=*/false, plan);
 }
 
 void ifftInPlace(std::span<std::complex<double>> data, const FftPlan& plan) {
   if (data.size() != plan.n) {
     throw std::invalid_argument("ifftInPlace: plan size mismatch");
   }
-  transform(data.data(), data.size(), /*inverse=*/true, &plan);
+  transform(data.data(), data.size(), /*inverse=*/true, plan);
   const double inv = 1.0 / static_cast<double>(data.size());
   for (auto& x : data) x *= inv;
-}
-
-std::vector<std::complex<double>> fftReal(std::span<const double> xs) {
-  FCHAIN_SPAN_VAR(span, "signal.fft");
-  span.arg("n", static_cast<std::int64_t>(xs.size()));
-  const std::size_t padded = nextPow2(std::max<std::size_t>(xs.size(), 1));
-  // Reserve the padded size up front: bulk-assign the samples, then extend
-  // with zero padding inside the same buffer — one allocation total.
-  std::vector<std::complex<double>> data;
-  data.reserve(padded);
-  data.assign(xs.begin(), xs.end());
-  data.resize(padded);
-  fftInPlace(data);
-  return data;
 }
 
 void fftRealInto(std::span<const double> xs, const FftPlan& plan,
@@ -164,20 +111,7 @@ void fftRealInto(std::span<const double> xs, const FftPlan& plan,
   }
   spectrum.assign(xs.begin(), xs.end());
   spectrum.resize(padded);
-  transform(spectrum.data(), padded, /*inverse=*/false, &plan);
-}
-
-std::vector<double> ifftToReal(std::vector<std::complex<double>>&& spectrum,
-                               std::size_t n) {
-  FCHAIN_SPAN_VAR(span, "signal.ifft");
-  span.arg("n", static_cast<std::int64_t>(spectrum.size()));
-  ifftInPlace(spectrum);
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n && i < spectrum.size(); ++i) {
-    out.push_back(spectrum[i].real());
-  }
-  return out;
+  transform(spectrum.data(), padded, /*inverse=*/false, plan);
 }
 
 void ifftRealInto(std::span<std::complex<double>> spectrum,

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
+#include <numbers>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -13,6 +16,77 @@
 namespace fchain::signal::reference {
 
 namespace {
+
+// --- Unplanned FFT: the transform the planned one must reproduce --------
+
+bool isPow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+
+/// Cooley-Tukey iterative radix-2 with bit-reversal permutation.
+/// `inverse` flips the twiddle sign; normalization is the caller's job.
+void transform(std::complex<double>* data, std::size_t n, bool inverse) {
+  if (n <= 1) return;
+  if (!isPow2(n)) throw std::invalid_argument("fft: size not a power of two");
+
+  // Bit-reversal permutation.
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(data[i], data[j]);
+  }
+
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const double angle =
+        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
+    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
+    for (std::size_t i = 0; i < n; i += len) {
+      std::complex<double> w(1.0, 0.0);
+      for (std::size_t k = 0; k < half; ++k) {
+        const std::complex<double> u = data[i + k];
+        const std::complex<double> v = data[i + k + half] * w;
+        data[i + k] = u + v;
+        data[i + k + half] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+}
+
+void fftInPlace(std::vector<std::complex<double>>& data) {
+  transform(data.data(), data.size(), /*inverse=*/false);
+}
+
+void ifftInPlace(std::vector<std::complex<double>>& data) {
+  transform(data.data(), data.size(), /*inverse=*/true);
+  const double inv = 1.0 / static_cast<double>(data.size());
+  for (auto& x : data) x *= inv;
+}
+
+std::vector<std::complex<double>> fftReal(std::span<const double> xs) {
+  const std::size_t padded = nextPow2(std::max<std::size_t>(xs.size(), 1));
+  // Reserve the padded size up front: bulk-assign the samples, then extend
+  // with zero padding inside the same buffer — one allocation total.
+  std::vector<std::complex<double>> data;
+  data.reserve(padded);
+  data.assign(xs.begin(), xs.end());
+  data.resize(padded);
+  fftInPlace(data);
+  return data;
+}
+
+std::vector<double> ifftToReal(std::vector<std::complex<double>>&& spectrum,
+                               std::size_t n) {
+  ifftInPlace(spectrum);
+  std::vector<double> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n && i < spectrum.size(); ++i) {
+    out.push_back(spectrum[i].real());
+  }
+  return out;
+}
+
+// --- CUSUM + bootstrap ---------------------------------------------------
 
 struct CusumResult {
   double range = 0.0;
@@ -85,6 +159,14 @@ double tangentAt(std::span<const double> xs, std::size_t index,
 }
 
 }  // namespace
+
+void unplannedFft(std::vector<std::complex<double>>& data) {
+  fftInPlace(data);
+}
+
+void unplannedIfft(std::vector<std::complex<double>>& data) {
+  ifftInPlace(data);
+}
 
 double percentile(std::span<const double> xs, double p) {
   if (xs.empty()) throw std::invalid_argument("percentile of empty span");

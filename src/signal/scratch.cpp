@@ -10,8 +10,7 @@ namespace fchain::signal {
 
 namespace {
 
-/// Fisher-Yates over an index row, consuming `rng` exactly like the
-/// threaded bootstrap consumes it over data.
+/// Fisher-Yates over an index row.
 void shuffleRow(std::uint32_t* row, std::size_t n, fchain::Rng& rng) {
   for (std::size_t i = n - 1; i > 0; --i) {
     std::swap(row[i], row[rng.below(i + 1)]);
@@ -20,7 +19,7 @@ void shuffleRow(std::uint32_t* row, std::size_t n, fchain::Rng& rng) {
 
 /// Generates the canonical permutation block for (seed, rounds, n): round 0
 /// shuffles the identity, each later round shuffles the previous round's
-/// permutation (composing permutations, like the threaded bootstrap's
+/// permutation (composing permutations, like the reference engine's
 /// shuffle-of-shuffle), all from an RNG derived only from (seed, n). This
 /// definition is independent of caching: pooled and overflow paths produce
 /// identical blocks.
@@ -76,8 +75,7 @@ const FftPlan& SignalScratch::plan(std::size_t n) {
 std::uint64_t SignalScratch::retainedBytes() const {
   std::size_t bytes = 0;
   for (const std::vector<double>* lane :
-       {&smoothed_, &shuffle_, &burst_, &block_max_, &diffs_, &stats_a_,
-        &stats_b_}) {
+       {&smoothed_, &burst_, &block_max_, &diffs_, &stats_a_, &stats_b_}) {
     bytes += lane->capacity() * sizeof(double);
   }
   bytes += spectrum_.capacity() * sizeof(std::complex<double>);

@@ -40,14 +40,13 @@ namespace fchain::signal {
 
 /// Deterministic bootstrap permutation pool, keyed by segment length.
 ///
-/// The pooled bootstrap (CusumConfig::bootstrap == PooledPermutations) draws
-/// its resampling permutations from a stream that depends only on
-/// (seed, rounds, segment length) — *not* on how many segments were analyzed
-/// before, which is what makes per-segment early exit and cross-thread
-/// determinism possible. The pool is a pure cache: entries for lengths up to
-/// kMaxPooledLength are kept, longer segments are regenerated into a reused
-/// overflow buffer on every call, and both paths produce byte-identical
-/// permutations.
+/// The CUSUM bootstrap draws its resampling permutations from a stream that
+/// depends only on (seed, rounds, segment length) — *not* on how many
+/// segments were analyzed before, which is what makes per-segment early exit
+/// and cross-thread determinism possible. The pool is a pure cache: entries
+/// for lengths up to kMaxPooledLength are kept, longer segments are
+/// regenerated into a reused overflow buffer on every call, and both paths
+/// produce byte-identical permutations.
 class PermutationPool {
  public:
   /// Lengths above this are not retained (the pool would grow without bound
@@ -85,14 +84,12 @@ class SignalScratch {
   // Named double lanes, each returned resized to n (values unspecified).
   // Lane assignments — one producer at a time:
   //   smoothed   moving-average output / rollback input
-  //   shuffle    bootstrap resample buffer (legacy threaded-RNG mode)
   //   burst      burst-signal magnitudes
   //   blockMax   history-error block maxima
   //   diffs      adaptive-smoothing first differences
   //   statsA/B   work buffers for percentileInPlace / medianAbsDeviation;
   //              reserved for the stats helpers, never a kernel input.
   std::vector<double>& smoothed(std::size_t n) { return prep(smoothed_, n); }
-  std::vector<double>& shuffle(std::size_t n) { return prep(shuffle_, n); }
   std::vector<double>& burst(std::size_t n) { return prep(burst_, n); }
   std::vector<double>& blockMax(std::size_t n) { return prep(block_max_, n); }
   std::vector<double>& diffs(std::size_t n) { return prep(diffs_, n); }
@@ -140,7 +137,6 @@ class SignalScratch {
   }
 
   std::vector<double> smoothed_;
-  std::vector<double> shuffle_;
   std::vector<double> burst_;
   std::vector<double> block_max_;
   std::vector<double> diffs_;

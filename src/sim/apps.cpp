@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
+#include "sim/diurnal.h"
 #include "sim/mesh.h"
-#include "trace/workload_trace.h"
 
 namespace fchain::sim {
 
@@ -225,12 +225,11 @@ Application makeApplication(AppKind kind, std::size_t seconds, Rng& rng) {
   Application app(makeAppSpec(kind), rng.next());
   switch (kind) {
     case AppKind::Rubis:
-      app.setWorkload(
-          trace::generateDiurnalTrace(trace::nasaLikeConfig(), seconds, rng));
+      app.setWorkload(generateDiurnalTrace(nasaLikeConfig(), seconds, rng));
       break;
     case AppKind::SystemS:
-      app.setWorkload(trace::generateDiurnalTrace(trace::clarknetLikeConfig(),
-                                                  seconds, rng));
+      app.setWorkload(
+          generateDiurnalTrace(clarknetLikeConfig(), seconds, rng));
       break;
     case AppKind::Hadoop:
       break;  // batch job: work comes from the map-side reservoirs

@@ -41,7 +41,6 @@ class Cloud {
   /// the application's index.
   std::size_t deploy(Application app);
 
-  std::size_t applicationCount() const { return apps_.size(); }
   Application& app(std::size_t index) { return apps_[index]; }
   const Application& app(std::size_t index) const { return apps_[index]; }
 

@@ -162,15 +162,6 @@ void FaultInjector::apply(Application& app, TimeSec now) {
   }
 }
 
-std::string_view telemetryFaultTypeName(TelemetryFaultType type) {
-  switch (type) {
-    case TelemetryFaultType::SampleDropBurst: return "sample_drop_burst";
-    case TelemetryFaultType::ValueCorruption: return "value_corruption";
-    case TelemetryFaultType::SlaveOutage: return "slave_outage";
-  }
-  return "unknown";
-}
-
 namespace {
 
 bool windowActive(const TelemetryFaultSpec& spec, TimeSec now) {

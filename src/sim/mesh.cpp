@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/workload_trace.h"
+#include "sim/diurnal.h"
 
 namespace fchain::sim {
 
@@ -239,7 +239,7 @@ double meshSloLatencyThreshold(const MeshConfig& config) {
 Application makeMicroMesh(const MeshConfig& config, std::size_t seconds,
                           Rng& rng) {
   Application app(makeMicroMeshSpec(config), rng.next());
-  trace::DiurnalTraceConfig workload;
+  DiurnalTraceConfig workload;
   workload.base_rate = config.base_users_per_sec;
   workload.diurnal_amplitude = 0.5;
   workload.diurnal_period_sec = 7200.0;
@@ -249,7 +249,7 @@ Application makeMicroMesh(const MeshConfig& config, std::size_t seconds,
   workload.flash_magnitude = 0.5;
   workload.flash_duration_sec = 45.0;
   workload.phase = 1.1;
-  app.setWorkload(trace::generateDiurnalTrace(workload, seconds, rng));
+  app.setWorkload(generateDiurnalTrace(workload, seconds, rng));
   return app;
 }
 

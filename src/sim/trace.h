@@ -1,6 +1,6 @@
 // Trace-driven workload replay at million-user scale.
 //
-// The diurnal generators in src/trace produce one double per second — fine
+// The diurnal generators (sim/diurnal.h) emit one double per second — fine
 // for hour-long runs, but a million-user replay wants a *compact* recorded
 // artifact: a seeded event trace (flash crowds, regional load shifts) over a
 // closed-form diurnal baseline. A WorkloadTrace is a few hundred bytes of

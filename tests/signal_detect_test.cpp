@@ -172,20 +172,6 @@ TEST(Smoothing, ZeroHalfWindowIsIdentity) {
   for (std::size_t i = 0; i < xs.size(); ++i) EXPECT_DOUBLE_EQ(out[i], xs[i]);
 }
 
-TEST(Smoothing, EwmaAlphaOneIsIdentity) {
-  const std::vector<double> xs{3, 1, 4, 1, 5};
-  const auto out = ewma(xs, 1.0);
-  for (std::size_t i = 0; i < xs.size(); ++i) EXPECT_DOUBLE_EQ(out[i], xs[i]);
-}
-
-TEST(Smoothing, EwmaTracksLevelShift) {
-  std::vector<double> xs(50, 0.0);
-  for (std::size_t i = 25; i < xs.size(); ++i) xs[i] = 10.0;
-  const auto out = ewma(xs, 0.3);
-  EXPECT_LT(out[26], 10.0);     // lags the step
-  EXPECT_GT(out.back(), 9.5);   // converges
-}
-
 // -------------------------------------------------------------- tangent ---
 
 TEST(Tangent, TangentAtRecoversLocalSlope) {

@@ -2,10 +2,12 @@
 //
 // The optimized engine must be provably equivalent to the frozen reference
 // engine (signal/reference.h):
-//   - ThreadedRng bootstrap mode: bit-identical change points, and every
-//     other kernel (smoothing, burst, outlier, rollback) bit-identical
-//     regardless of mode.
-//   - PooledPermutations mode: deterministic (scratch reuse, fresh arenas
+//   - The stateless kernels (smoothing, planned FFT, burst, outlier,
+//     rollback) are bit-identical to the reference's.
+//   - CUSUM segmentation is bit-identical when the bootstrap decision is
+//     forced (confidence 0): the two engines draw different permutations,
+//     so only index and shift are comparable.
+//   - The pooled bootstrap is deterministic (scratch reuse, fresh arenas
 //     and thread count must not matter), and its early exit must make
 //     exactly the accept/reject decisions a full-round run makes, with the
 //     exact confidence on accepted segments.
@@ -16,6 +18,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <complex>
 #include <cstdlib>
 #include <limits>
 #include <new>
@@ -26,6 +29,7 @@
 #include "fchain/slave.h"
 #include "signal/burst.h"
 #include "signal/cusum.h"
+#include "signal/fft.h"
 #include "signal/outlier.h"
 #include "signal/reference.h"
 #include "signal/scratch.h"
@@ -84,16 +88,60 @@ bool samePoints(const std::vector<ChangePoint>& a,
   return true;
 }
 
-TEST(EngineIdentity, ThreadedRngMatchesReferenceBitExact) {
+TEST(EngineIdentity, ForcedBootstrapSegmentationMatchesReferenceBitExact) {
+  // At confidence 0 every bootstrap accepts, in either engine, so the
+  // segmentation is decided by the CUSUM range and peak alone. Indices and
+  // shifts must then be bit-equal; confidences come from different
+  // permutation draws and are not compared.
   CusumConfig config;
-  config.bootstrap = BootstrapMode::ThreadedRng;
-  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL}) {
-    for (std::size_t n : {20u, 101u, 150u, 500u}) {
+  config.confidence = 0.0;
+  std::size_t compared = 0;
+  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL, 5ULL, 99ULL}) {
+    for (std::size_t n : {20u, 41u, 101u, 150u, 500u, 1000u}) {
       const auto xs = faultyStream(seed, n);
       const auto expected = reference::detectChangePoints(xs, config);
       const auto actual = detectChangePoints(xs, config);
-      EXPECT_TRUE(samePoints(expected, actual))
+      ASSERT_EQ(expected.size(), actual.size())
           << "seed=" << seed << " n=" << n;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(expected[i].index, actual[i].index)
+            << "seed=" << seed << " n=" << n << " i=" << i;
+        EXPECT_EQ(expected[i].shift, actual[i].shift)
+            << "seed=" << seed << " n=" << n << " i=" << i;
+      }
+      compared += expected.size();
+    }
+  }
+  // Forced acceptance must actually drive deep segmentations.
+  EXPECT_GE(compared, 500u);
+}
+
+TEST(EngineIdentity, PlannedFftMatchesReferenceBitExact) {
+  // Both directions, every power of two from 1 to 4096: the plan's twiddle
+  // tables must reproduce the reference recurrence's rounding exactly.
+  fchain::Rng rng(0xff7);
+  for (std::size_t n = 1; n <= 4096; n <<= 1) {
+    const FftPlan plan = FftPlan::make(n);
+    std::vector<std::complex<double>> data(n);
+    for (auto& x : data) {
+      x = {rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0)};
+    }
+    for (const bool inverse : {false, true}) {
+      std::vector<std::complex<double>> expected = data;
+      std::vector<std::complex<double>> actual = data;
+      if (inverse) {
+        reference::unplannedIfft(expected);
+        ifftInPlace(actual, plan);
+      } else {
+        reference::unplannedFft(expected);
+        fftInPlace(actual, plan);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(expected[i].real(), actual[i].real())
+            << "n=" << n << " inverse=" << inverse << " i=" << i;
+        ASSERT_EQ(expected[i].imag(), actual[i].imag())
+            << "n=" << n << " inverse=" << inverse << " i=" << i;
+      }
     }
   }
 }
@@ -121,9 +169,7 @@ TEST(EngineIdentity, StatelessKernelsMatchReferenceBitExact) {
     EXPECT_EQ(reference::expectedPredictionError(window),
               expectedPredictionError(window));
 
-    CusumConfig config;
-    config.bootstrap = BootstrapMode::ThreadedRng;
-    const auto points = reference::detectChangePoints(xs, config);
+    const auto points = reference::detectChangePoints(xs);
     EXPECT_TRUE(samePoints(reference::outlierChangePoints(points),
                            outlierChangePoints(points)));
     for (std::size_t selected = 0; selected < points.size(); ++selected) {
@@ -134,7 +180,7 @@ TEST(EngineIdentity, StatelessKernelsMatchReferenceBitExact) {
 }
 
 TEST(EngineIdentity, PooledModeIsDeterministicAcrossArenasAndReuse) {
-  const CusumConfig config;  // PooledPermutations default
+  const CusumConfig config;
   // n = 500 exercises both pool paths: the top segments exceed
   // PermutationPool::kMaxPooledLength (regenerated into the overflow
   // buffer), deep recursion segments are cached.

@@ -1,45 +1,36 @@
 // Unit & property tests for signal/fft and signal/burst.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <numbers>
 #include <span>
 
 #include "common/rng.h"
-#include "obs/trace.h"
 #include "signal/burst.h"
 #include "signal/fft.h"
 
-// Allocation counter for the ±Q-window round-trip micro-assert below: the
-// change selector FFTs a small window around every candidate change point,
-// so each direction of the transform is required to allocate exactly once.
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace fchain::signal {
 namespace {
+
+/// Forward transform of a real signal through a plan built for it.
+std::vector<std::complex<double>> plannedFft(std::span<const double> xs) {
+  const FftPlan plan =
+      FftPlan::make(nextPow2(std::max<std::size_t>(xs.size(), 1)));
+  std::vector<std::complex<double>> spectrum;
+  fftRealInto(xs, plan, spectrum);
+  return spectrum;
+}
+
+/// Inverse transform back to the first `n` real samples.
+std::vector<double> plannedIfft(std::vector<std::complex<double>> spectrum,
+                                std::size_t n) {
+  const FftPlan plan = FftPlan::make(spectrum.size());
+  std::vector<double> out(n);
+  ifftRealInto(spectrum, plan, out);
+  return out;
+}
 
 TEST(Fft, NextPow2) {
   EXPECT_EQ(nextPow2(1), 1u);
@@ -52,7 +43,7 @@ TEST(Fft, NextPow2) {
 TEST(Fft, ImpulseHasFlatSpectrum) {
   std::vector<std::complex<double>> data(8, 0.0);
   data[0] = 1.0;
-  fftInPlace(data);
+  fftInPlace(data, FftPlan::make(data.size()));
   for (const auto& bin : data) {
     EXPECT_NEAR(bin.real(), 1.0, 1e-12);
     EXPECT_NEAR(bin.imag(), 0.0, 1e-12);
@@ -66,7 +57,7 @@ TEST(Fft, PureToneConcentratesInOneBin) {
   for (std::size_t i = 0; i < kN; ++i) {
     xs[i] = std::sin(2.0 * std::numbers::pi * kFreq * i / kN);
   }
-  const auto spectrum = fftReal(xs);
+  const auto spectrum = plannedFft(xs);
   std::size_t peak = 0;
   for (std::size_t i = 1; i < kN / 2; ++i) {
     if (std::abs(spectrum[i]) > std::abs(spectrum[peak])) peak = i;
@@ -79,8 +70,15 @@ TEST(Fft, PureToneConcentratesInOneBin) {
 }
 
 TEST(Fft, NonPow2InputThrows) {
-  std::vector<std::complex<double>> data(12, 0.0);
-  EXPECT_THROW(fftInPlace(data), std::invalid_argument);
+  EXPECT_THROW(FftPlan::make(12), std::invalid_argument);
+  EXPECT_THROW(FftPlan::make(0), std::invalid_argument);
+  // A plan only runs transforms of its own size.
+  const FftPlan plan = FftPlan::make(8);
+  std::vector<std::complex<double>> data(16, 0.0);
+  EXPECT_THROW(fftInPlace(data, plan), std::invalid_argument);
+  EXPECT_THROW(ifftInPlace(data, plan), std::invalid_argument);
+  const std::vector<double> xs(12, 1.0);
+  EXPECT_THROW(fftRealInto(xs, plan, data), std::invalid_argument);
 }
 
 class FftRoundTrip : public ::testing::TestWithParam<std::size_t> {};
@@ -90,8 +88,7 @@ TEST_P(FftRoundTrip, InverseRecoversInput) {
   Rng rng(n);
   std::vector<double> xs(n);
   for (double& x : xs) x = rng.uniform(-10.0, 10.0);
-  auto spectrum = fftReal(xs);
-  const auto back = ifftToReal(std::move(spectrum), n);
+  const auto back = plannedIfft(plannedFft(xs), n);
   ASSERT_EQ(back.size(), n);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(back[i], xs[i], 1e-9) << "i=" << i << " n=" << n;
@@ -102,42 +99,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTrip,
                          ::testing::Values(1, 2, 3, 7, 8, 16, 41, 64, 100,
                                            128, 333, 1024));
 
-TEST(Fft, QWindowRoundTripAllocatesOncePerDirection) {
-  // The selector's ±Q window is 2Q+1 = 41 samples by default. fftReal must
-  // build its padded spectrum in a single allocation (reserve + bulk
-  // assign, no element-wise growth or resize-reallocation), and ifftToReal
-  // must transform in the moved-in buffer so its only allocation is the
-  // returned real vector.
-  constexpr std::size_t kQWindow = 41;
-  std::vector<double> xs(kQWindow);
-  for (std::size_t i = 0; i < kQWindow; ++i) {
-    xs[i] = std::sin(0.37 * static_cast<double>(i));
-  }
-
-  // The claim is about the *kernel*: recording a profiling span (e.g. a
-  // FCHAIN_TRACE=1 CI run) legitimately allocates, so silence the global
-  // tracer around the counted region.
-  obs::Tracer& tracer = obs::tracer();
-  const bool trace_was_enabled = tracer.enabled();
-  tracer.setEnabled(false);
-
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  auto spectrum = fftReal(xs);
-  const std::size_t after_forward =
-      g_allocations.load(std::memory_order_relaxed);
-  auto back = ifftToReal(std::move(spectrum), kQWindow);
-  const std::size_t after_inverse =
-      g_allocations.load(std::memory_order_relaxed);
-  tracer.setEnabled(trace_was_enabled);
-
-  EXPECT_EQ(after_forward - before, 1u);
-  EXPECT_EQ(after_inverse - after_forward, 1u);
-  ASSERT_EQ(back.size(), kQWindow);
-  for (std::size_t i = 0; i < kQWindow; ++i) {
-    EXPECT_NEAR(back[i], xs[i], 1e-9);
-  }
-}
-
 TEST(Fft, ParsevalEnergyConservation) {
   constexpr std::size_t kN = 128;
   Rng rng(77);
@@ -147,7 +108,7 @@ TEST(Fft, ParsevalEnergyConservation) {
     x = rng.gaussian();
     time_energy += x * x;
   }
-  const auto spectrum = fftReal(xs);
+  const auto spectrum = plannedFft(xs);
   double freq_energy = 0.0;
   for (const auto& bin : spectrum) freq_energy += std::norm(bin);
   EXPECT_NEAR(freq_energy / kN, time_energy, 1e-6);

@@ -4,9 +4,13 @@
 //     (the cumulative sum of mean-centered samples does not see the mean).
 //   - Tangent rollback is monotone: the recovered onset never lies after
 //     the triggering change point.
-//   - The real FFT round-trips: ifftToReal(fftReal(x), n) reconstructs x.
+//   - The planned real FFT round-trips: ifftRealInto(fftRealInto(x)) over
+//     the first n samples reconstructs x.
+#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +22,24 @@
 
 namespace fchain::signal {
 namespace {
+
+/// Forward transform of a real signal through a plan built for it.
+std::vector<std::complex<double>> plannedFft(std::span<const double> xs) {
+  const FftPlan plan =
+      FftPlan::make(nextPow2(std::max<std::size_t>(xs.size(), 1)));
+  std::vector<std::complex<double>> spectrum;
+  fftRealInto(xs, plan, spectrum);
+  return spectrum;
+}
+
+/// Inverse transform back to the first `n` real samples.
+std::vector<double> plannedIfft(std::vector<std::complex<double>> spectrum,
+                                std::size_t n) {
+  const FftPlan plan = FftPlan::make(spectrum.size());
+  std::vector<double> out(n);
+  ifftRealInto(spectrum, plan, out);
+  return out;
+}
 
 /// Noisy series with a handful of genuine level shifts: piecewise-constant
 /// levels plus uniform noise, the shape CUSUM is built for.
@@ -125,9 +147,9 @@ TEST(SignalProperty, FftRoundTripReconstructsSignal) {
     xs.reserve(n);
     for (std::size_t i = 0; i < n; ++i) xs.push_back(rng.uniform(-1e3, 1e3));
 
-    auto spectrum = fftReal(xs);
+    auto spectrum = plannedFft(xs);
     EXPECT_EQ(spectrum.size(), nextPow2(n));
-    const std::vector<double> back = ifftToReal(std::move(spectrum), n);
+    const std::vector<double> back = plannedIfft(std::move(spectrum), n);
     ASSERT_EQ(back.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(back[i], xs[i], 1e-6 * 1e3) << "seed " << seed << " i=" << i;
@@ -137,12 +159,12 @@ TEST(SignalProperty, FftRoundTripReconstructsSignal) {
 
 TEST(SignalProperty, FftOfZerosIsZero) {
   const std::vector<double> xs(37, 0.0);
-  auto spectrum = fftReal(xs);
+  auto spectrum = plannedFft(xs);
   for (const auto& bin : spectrum) {
     EXPECT_EQ(bin.real(), 0.0);
     EXPECT_EQ(bin.imag(), 0.0);
   }
-  const std::vector<double> back = ifftToReal(std::move(spectrum), 37);
+  const std::vector<double> back = plannedIfft(std::move(spectrum), 37);
   for (double v : back) EXPECT_EQ(v, 0.0);
 }
 
@@ -159,8 +181,8 @@ TEST(SignalProperty, FftLinearity) {
       xs.push_back(v);
       scaled.push_back(a * v);
     }
-    const auto fx = fftReal(xs);
-    const auto fs = fftReal(scaled);
+    const auto fx = plannedFft(xs);
+    const auto fs = plannedFft(scaled);
     ASSERT_EQ(fx.size(), fs.size());
     for (std::size_t i = 0; i < fx.size(); ++i) {
       EXPECT_NEAR(fs[i].real(), a * fx[i].real(), 1e-8 * 10.0 * n);
