@@ -1,8 +1,10 @@
 // Extends the Table-II overhead study to the parallel localization engine:
-// sweeps component count × worker-thread count and reports serial vs
-// parallel end-to-end localization latency (the paper's "analysis time"
-// budget, §III-G — FChain's headline claim is pinpointing within seconds of
-// the SLO violation).
+// sweeps component count × worker-thread count and reports end-to-end
+// localization latency with the per-slave batch jobs run inline on the
+// caller's thread (0 worker threads) vs on the worker pool (the paper's
+// "analysis time" budget, §III-G — FChain's headline claim is pinpointing
+// within seconds of the SLO violation). Both columns send the same S
+// per-slave batch requests; the speedup is the pool's overlap alone.
 //
 // Three parts:
 //   1. In-process sweep — N components spread round-robin over S slaves,
@@ -15,18 +17,18 @@
 //      send/recv/decode costs through the production wire protocol instead
 //      of a sleep-based WAN emulation. Each service adds a 25 ms
 //      analyze-side delay (the crash-drill hook) so the round-trip cost is
-//      measurable even on a single-core machine: batching turns N
-//      per-component requests into S per-slave requests, and the worker
-//      pool overlaps the S socket round-trips. The 32-component / 4-slave /
+//      measurable even on a single-core machine: inline, the S per-slave
+//      socket round-trips run one after another; on the pool they overlap
+//      (≈ S× with S slaves and >= S threads). The 32-component / 4-slave /
 //      4-thread cell must clear 2× or the bench exits nonzero; every
-//      socket verdict must also be bit-identical to the in-process serial
+//      socket verdict must also be bit-identical to the in-process inline
 //      reference (transport transparency).
 //   3. Lossy-telemetry equivalence — replays the bench_robustness scenarios
 //      (10 % sample loss, rotating dead slave behind a FlakyEndpoint
-//      blackout) through both engines.
+//      blackout) inline and on the pool.
 //
-// Every parallel cell in every part must return a PinpointResult
-// bit-identical to the serial reference; each table prints the identity
+// Every pooled cell in every part must return a PinpointResult
+// bit-identical to the inline reference; each table prints the identity
 // check per row.
 //
 // Usage: bench_table2_parallel_overhead [repetitions] [seed]
@@ -236,12 +238,12 @@ SweepOutcome sweepSynthetic(const char* title, std::size_t repetitions,
   constexpr std::size_t kSlaves = 4;
   std::printf("%s (%zu slaves)\n", title, kSlaves);
   std::printf("  %-12s %-10s %-12s %-12s %-10s %s\n", "components", "threads",
-              "serial_ms", "parallel_ms", "speedup", "identical");
+              "inline_ms", "pool_ms", "speedup", "identical");
   SweepOutcome outcome;
   for (std::size_t components : {8u, 16u, 32u, 64u}) {
     SyntheticCluster cluster = buildCluster(components, kSlaves, seed);
-    const TimedRun serial = timeLocalize(cluster, /*threads=*/0,
-                                         /*slave_threads=*/0, repetitions);
+    const TimedRun inline_run = timeLocalize(cluster, /*threads=*/0,
+                                             /*slave_threads=*/0, repetitions);
     for (int threads : {1, 2, 4, 8}) {
       // Threads beyond the slave count flow into slave-side batch analysis
       // (each slave fans its own components out across the spare cores).
@@ -249,16 +251,16 @@ SweepOutcome sweepSynthetic(const char* title, std::size_t repetitions,
           threads > static_cast<int>(kSlaves)
               ? threads / static_cast<int>(kSlaves)
               : 0;
-      const TimedRun parallel =
+      const TimedRun pooled =
           timeLocalize(cluster, threads, slave_threads, repetitions);
-      const bool identical = samePinpoint(serial.result, parallel.result);
+      const bool identical = samePinpoint(inline_run.result, pooled.result);
       outcome.all_identical = outcome.all_identical && identical;
-      const double speedup = serial.best_ms / parallel.best_ms;
+      const double speedup = inline_run.best_ms / pooled.best_ms;
       if (components == 32 && threads == 4) {
         outcome.headline_speedup = speedup;
       }
       std::printf("  %-12zu %-10d %-12.2f %-12.2f %-10.2f %s\n", components,
-                  threads, serial.best_ms, parallel.best_ms, speedup,
+                  threads, inline_run.best_ms, pooled.best_ms, speedup,
                   identical ? "yes" : "NO");
     }
   }
@@ -268,15 +270,15 @@ SweepOutcome sweepSynthetic(const char* title, std::size_t repetitions,
 
 /// The real-socket column: the same sweep over SlaveService/SocketEndpoint
 /// unix-socket transports with a 25 ms server-side analyze delay standing
-/// in for per-host network+analysis latency. Besides serial-vs-parallel
-/// identity, every socket verdict is checked bit-identical against the
-/// in-process serial reference — the wire codec must be transparent.
+/// in for per-host network+analysis latency. Every socket verdict, inline
+/// and pooled, is checked bit-identical against the in-process inline
+/// reference — the wire codec must be transparent.
 SweepOutcome sweepSockets(const char* title, double analyze_delay_ms,
                           std::size_t repetitions, std::uint64_t seed) {
   constexpr std::size_t kSlaves = 4;
   std::printf("%s (%zu slaves)\n", title, kSlaves);
   std::printf("  %-12s %-10s %-12s %-12s %-10s %s\n", "components", "threads",
-              "serial_ms", "parallel_ms", "speedup", "identical");
+              "inline_ms", "pool_ms", "speedup", "identical");
   SweepOutcome outcome;
   for (std::size_t components : {8u, 16u, 32u, 64u}) {
     SyntheticCluster cluster = buildCluster(components, kSlaves, seed);
@@ -284,25 +286,25 @@ SweepOutcome sweepSockets(const char* title, double analyze_delay_ms,
                                             /*slave_threads=*/0,
                                             /*repetitions=*/1);
     SocketCluster sockets(cluster, analyze_delay_ms);
-    const TimedRun serial =
+    const TimedRun inline_run =
         sockets.timeLocalize(/*threads=*/0, /*slave_threads=*/0, repetitions);
     outcome.all_identical = outcome.all_identical &&
-                            samePinpoint(reference.result, serial.result);
+                            samePinpoint(reference.result, inline_run.result);
     for (int threads : {1, 2, 4, 8}) {
       const int slave_threads =
           threads > static_cast<int>(kSlaves)
               ? threads / static_cast<int>(kSlaves)
               : 0;
-      const TimedRun parallel =
+      const TimedRun pooled =
           sockets.timeLocalize(threads, slave_threads, repetitions);
-      const bool identical = samePinpoint(reference.result, parallel.result);
+      const bool identical = samePinpoint(reference.result, pooled.result);
       outcome.all_identical = outcome.all_identical && identical;
-      const double speedup = serial.best_ms / parallel.best_ms;
+      const double speedup = inline_run.best_ms / pooled.best_ms;
       if (components == 32 && threads == 4) {
         outcome.headline_speedup = speedup;
       }
       std::printf("  %-12zu %-10d %-12.2f %-12.2f %-10.2f %s\n", components,
-                  threads, serial.best_ms, parallel.best_ms, speedup,
+                  threads, inline_run.best_ms, pooled.best_ms, speedup,
                   identical ? "yes" : "NO");
     }
   }
@@ -337,7 +339,7 @@ std::optional<Incident> simulateIncident(std::uint64_t seed) {
 
 /// Replays one recorded incident through 10 % sample loss and a rotating
 /// blackout slave (the bench_robustness_lossy_telemetry setup), localizing
-/// with the given engine configuration.
+/// with the given worker-thread count.
 core::PinpointResult lossyVerdict(const Incident& incident, std::size_t trial,
                                   int threads, std::uint64_t seed) {
   sim::TelemetryFaultSpec loss;
@@ -398,12 +400,13 @@ bool lossyEquivalence(std::uint64_t seed) {
   }
   bool all_identical = true;
   for (std::size_t trial = 0; trial < incidents.size(); ++trial) {
-    const auto serial = lossyVerdict(incidents[trial], trial, 0, seed);
-    const auto parallel = lossyVerdict(incidents[trial], trial, 4, seed);
-    const bool identical = samePinpoint(serial, parallel);
+    const auto inline_run = lossyVerdict(incidents[trial], trial, 0, seed);
+    const auto pooled = lossyVerdict(incidents[trial], trial, 4, seed);
+    const bool identical = samePinpoint(inline_run, pooled);
     all_identical = all_identical && identical;
-    std::printf("  trial %zu: coverage %.2f, %s\n", trial, serial.coverage,
-                identical ? "serial == parallel" : "MISMATCH");
+    std::printf("  trial %zu: coverage %.2f, %s\n", trial,
+                inline_run.coverage,
+                identical ? "inline == pool" : "MISMATCH");
   }
   std::printf("\n");
   return all_identical;
@@ -437,7 +440,7 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   if (!compute.all_identical || !socket.all_identical || !lossy_ok) {
-    std::printf("FAILURE: parallel verdict diverged from serial\n");
+    std::printf("FAILURE: pooled verdict diverged from inline\n");
     failed = true;
   }
   if (socket.headline_speedup < 2.0) {
@@ -448,7 +451,7 @@ int main(int argc, char** argv) {
   }
   if (failed) return 1;
   std::printf(
-      "All parallel verdicts bit-identical to serial; socket headline "
+      "All pooled verdicts bit-identical to inline; socket headline "
       "speedup %.2fx.\n",
       socket.headline_speedup);
   return 0;

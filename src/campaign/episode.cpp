@@ -37,14 +37,6 @@ class RestartableEndpoint final : public runtime::SlaveEndpoint {
     return {runtime::EndpointStatus::Ok, cell_->slave->components()};
   }
 
-  runtime::AnalyzeReply analyze(const runtime::AnalyzeRequest& req) override {
-    runtime::AnalyzeReply reply;
-    if (!alive()) return reply;  // Unavailable
-    reply.status = runtime::EndpointStatus::Ok;
-    reply.finding = cell_->slave->analyze(req.component, req.violation_time);
-    return reply;
-  }
-
   runtime::AnalyzeBatchReply analyzeBatch(
       const runtime::AnalyzeBatchRequest& req) override {
     runtime::AnalyzeBatchReply reply;

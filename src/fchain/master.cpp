@@ -115,8 +115,8 @@ void FChainMaster::registerEndpoint(
 }
 
 void FChainMaster::setWorkerThreads(int threads) {
-  worker_threads_ = std::max(0, threads);
-  pool_.reset();  // rebuilt lazily at the next parallel localize
+  pool_ = threads > 0 ? std::make_unique<runtime::WorkerPool>(threads)
+                      : nullptr;
 }
 
 void FChainMaster::setWatchdog(runtime::WatchdogConfig config) {
@@ -191,120 +191,13 @@ PinpointResult FChainMaster::localize(
   }
   const std::uint64_t start_us = obs::tracer().now();
   PinpointResult result =
-      worker_threads_ <= 0
-          ? localizeSerial(components, violation_time, deadline)
-          : localizeParallel(components, violation_time, deadline);
+      localizeBatches(components, violation_time, deadline);
   // Guarded difference: an injected logical clock may not be monotonic.
   const std::uint64_t end_us = obs::tracer().now();
   metric_localize_ms_.observe(
       end_us >= start_us ? static_cast<double>(end_us - start_us) / 1000.0
                          : 0.0);
   if (incident_journal_ != nullptr) incident_journal_->logDone(incident_id);
-  return result;
-}
-
-PinpointResult FChainMaster::localizeSerial(
-    const std::vector<ComponentId>& components, TimeSec violation_time,
-    Deadline deadline) {
-  FCHAIN_SPAN("master.serial");
-  std::vector<ComponentFinding> findings;
-  std::vector<ComponentId> unanalyzed;
-  std::size_t analyzed = 0;
-  MasterRuntimeStats local;
-  const bool use_watchdog = watchdog_.call_timeout_ms > 0.0;
-
-  for (ComponentId id : components) {
-    const auto route = routes_.find(id);
-    if (route == routes_.end()) {
-      unanalyzed.push_back(id);
-      continue;
-    }
-    if (deadline && std::chrono::steady_clock::now() >= *deadline) {
-      // Out of wall-time budget: shed the rest of the application into
-      // degraded-mode coverage instead of blowing the diagnosis SLO.
-      ++local.deadline_skips;
-      unanalyzed.push_back(id);
-      continue;
-    }
-    Endpoint& ep = endpoints_[route->second];
-    if (!ep.breaker.allowRequest()) {
-      // Breaker open after repeated hangs: don't spend a full watchdog
-      // timeout on this endpoint, route its component to degraded coverage.
-      unanalyzed.push_back(id);
-      continue;
-    }
-    // Without the watchdog the endpoint is locked across the whole retry
-    // sequence (the reference behaviour). With it, each attempt locks
-    // *inside* the sacrificial thread, so an abandoned call wedges only
-    // that endpoint, never this coordinator loop.
-    std::unique_lock<std::mutex> endpoint_lock;
-    if (!use_watchdog) {
-      endpoint_lock = std::unique_lock<std::mutex>(*ep.lock);
-    }
-    // A down endpoint gets one probe instead of the full retry budget, so a
-    // dead slave cannot stall every localization — yet can still recover.
-    const int attempts = ep.health.state() == HealthState::Down
-                             ? 1
-                             : std::max(1, retry_.max_attempts);
-    bool answered = false;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-      runtime::AnalyzeRequest request;
-      request.component = id;
-      request.violation_time = violation_time;
-      request.deadline_ms = retry_.request_deadline_ms;
-      ++local.requests;
-      if (attempt > 0) {
-        ++local.retries;
-        local.simulated_backoff_ms += runtime::retryDelayMs(
-            retry_, attempt - 1,
-            mixSeed(static_cast<std::uint64_t>(violation_time), id,
-                    static_cast<std::uint64_t>(attempt)));
-      }
-      runtime::AnalyzeReply reply;
-      if (use_watchdog) {
-        const auto endpoint = ep.endpoint;
-        const auto lock = ep.lock;
-        auto bounded = runtime::callWithWallTimeout(
-            [endpoint, lock, request] {
-              std::lock_guard<std::mutex> g(*lock);
-              return endpoint->analyze(request);
-            },
-            watchdog_.call_timeout_ms);
-        if (!bounded.has_value()) {
-          // Hung call: abandon it *and* the rest of the retry budget —
-          // more attempts against a wedged endpoint only burn the deadline.
-          ++local.watchdog_trips;
-          if (ep.breaker.recordTrip()) ++local.breaker_opens;
-          recordOutcome(ep, false);
-          break;
-        }
-        ep.breaker.recordCompletion();
-        reply = std::move(*bounded);
-      } else {
-        reply = ep.endpoint->analyze(request);
-      }
-      if (reply.status == EndpointStatus::Ok) {
-        recordOutcome(ep, true);
-        answered = true;
-        ++analyzed;
-        if (reply.finding.has_value()) {
-          findings.push_back(std::move(*reply.finding));
-        }
-        break;
-      }
-      recordOutcome(ep, false);
-    }
-    if (!answered) {
-      ++local.failures;
-      unanalyzed.push_back(id);
-    }
-  }
-  mergeStats(local);
-
-  PinpointResult result = pinpointer_.pinpoint(
-      std::move(findings), components.size(), &dependencies_, analyzed);
-  std::sort(unanalyzed.begin(), unanalyzed.end());
-  result.unanalyzed = std::move(unanalyzed);
   return result;
 }
 
@@ -322,7 +215,7 @@ void FChainMaster::runBatchJob(BatchJob& job, TimeSec violation_time,
   // Without the watchdog, hold the endpoint for the whole retry sequence:
   // requests to one slave stay strictly ordered even when other localize()
   // calls run in parallel. With it, each attempt locks inside the
-  // sacrificial thread so an abandoned call cannot park this pool worker.
+  // sacrificial thread so an abandoned call cannot park this thread.
   std::unique_lock<std::mutex> endpoint_lock;
   if (!use_watchdog) {
     endpoint_lock = std::unique_lock<std::mutex>(*ep.lock);
@@ -342,9 +235,9 @@ void FChainMaster::runBatchJob(BatchJob& job, TimeSec violation_time,
     ++job.stats.requests;
     if (attempt > 0) {
       ++job.stats.retries;
-      // Same seeding scheme as the serial path; the batch's backoff is
-      // salted by its first component so the jitter sequence stays
-      // deterministic in (violation_time, routing), never in scheduling.
+      // The batch's backoff is salted by its first component so the jitter
+      // sequence stays deterministic in (violation_time, routing), never in
+      // scheduling.
       job.stats.simulated_backoff_ms += runtime::retryDelayMs(
           retry_, attempt - 1,
           mixSeed(static_cast<std::uint64_t>(violation_time), job.ids.front(),
@@ -383,7 +276,7 @@ void FChainMaster::runBatchJob(BatchJob& job, TimeSec violation_time,
   job.stats.failures += job.ids.size();
 }
 
-PinpointResult FChainMaster::localizeParallel(
+PinpointResult FChainMaster::localizeBatches(
     const std::vector<ComponentId>& components, TimeSec violation_time,
     Deadline deadline) {
   // Group components by slave, preserving caller order within each group:
@@ -406,30 +299,31 @@ PinpointResult FChainMaster::localizeParallel(
     jobs[it->second].ids.push_back(id);
   }
 
-  if (pool_ == nullptr && worker_threads_ >= 1) {
-    pool_ = std::make_unique<runtime::WorkerPool>(worker_threads_);
-  }
   {
     FCHAIN_SPAN_VAR(fanout, "master.fanout");
     fanout.arg("jobs", static_cast<std::int64_t>(jobs.size()));
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(jobs.size());
-    for (BatchJob& job : jobs) {
-      tasks.push_back([this, &job, violation_time, deadline] {
-        runBatchJob(job, violation_time, deadline);
-      });
+    if (pool_ == nullptr) {
+      for (BatchJob& job : jobs) runBatchJob(job, violation_time, deadline);
+    } else {
+      std::vector<std::function<void()>> tasks;
+      tasks.reserve(jobs.size());
+      for (BatchJob& job : jobs) {
+        tasks.push_back([this, &job, violation_time, deadline] {
+          runBatchJob(job, violation_time, deadline);
+        });
+      }
+      pool_->run(std::move(tasks));
+      // The fan-out is a barrier, so the pool queue must be empty again;
+      // recording the gauge (instead of asserting) keeps a leak visible in a
+      // metric snapshot even in release builds.
+      metric_pool_pending_.set(static_cast<double>(pool_->pendingCount()));
     }
-    pool_->run(std::move(tasks));
-    // The fan-out is a barrier, so the pool queue must be empty again;
-    // recording the gauge (instead of asserting) keeps a leak visible in a
-    // metric snapshot even in release builds.
-    metric_pool_pending_.set(static_cast<double>(pool_->pendingCount()));
   }
 
   FCHAIN_SPAN("master.merge");
   // Deterministic merge: walk the caller's component order and pull each
-  // result from its job slot, exactly reproducing the serial path's
-  // findings order. Stats merge job-by-job in first-appearance order so
+  // result from its job slot, so the findings order never depends on which
+  // job finished first. Stats merge job-by-job in first-appearance order so
   // even the floating-point backoff sum is schedule-independent.
   std::map<ComponentId, const std::optional<ComponentFinding>*> slot_of;
   for (const BatchJob& job : jobs) {

@@ -15,18 +15,18 @@
 // arrive — PinpointResult::coverage reports how much of the application was
 // actually analyzed instead of silently pretending full coverage.
 //
-// Localization runs either serially (worker threads = 0, the reference
-// path: one analyze request per component, walked in caller order) or as a
-// parallel fan-out (worker threads >= 1): components are grouped by their
-// slave, each slave gets ONE batched request covering all its components
-// (runtime::AnalyzeBatchRequest), and the per-slave batch jobs run
-// concurrently on a fixed-size runtime::WorkerPool. A per-endpoint mutex
-// serializes requests to any one endpoint (FlakyEndpoint's request counter
-// and health accounting stay exact), results merge deterministically in
-// caller component order, and the backoff schedule keeps its per-component
-// seeding — so for transports whose failures do not depend on the request
-// arrival index (outages, blackouts, healthy links) the PinpointResult is
-// bit-identical across serial and any thread count.
+// Localization groups the application's components by their slave and
+// sends each slave ONE batched request covering all its components
+// (runtime::AnalyzeBatchRequest). The per-slave batch jobs run inline on the
+// caller's thread, in first-appearance order (worker threads = 0), or
+// concurrently on a fixed-size runtime::WorkerPool (worker threads >= 1).
+// A per-endpoint mutex serializes requests to any one endpoint
+// (FlakyEndpoint's request counter and health accounting stay exact),
+// results merge deterministically in caller component order, and the
+// backoff schedule is seeded from the batch's routing, never from the
+// schedule — so every endpoint sees the same request sequence and the
+// PinpointResult is bit-identical at any thread count (with the wall-clock
+// watchdog off).
 #pragma once
 
 #include <chrono>
@@ -53,8 +53,7 @@ class WorkerPool;
 namespace fchain::core {
 
 /// Transport bookkeeping accumulated across localize() calls. A request is
-/// one transport round-trip: the serial path issues one per component
-/// attempt, the parallel path one per slave *batch* attempt.
+/// one transport round-trip: one per-slave *batch* attempt.
 ///
 /// This struct is now a *view*: the authoritative values live in the
 /// master's obs::MetricRegistry (counters "master.requests" / ".retries" /
@@ -112,7 +111,6 @@ class FChainMaster {
   /// is bit-identical to a master without a watchdog. Resets every
   /// endpoint's breaker to the new thresholds.
   void setWatchdog(runtime::WatchdogConfig config);
-  const runtime::WatchdogConfig& watchdog() const { return watchdog_; }
 
   /// Attaches the master's incident journal (nullptr detaches; not owned,
   /// must outlive the master). Every localize() records its input to the
@@ -123,12 +121,12 @@ class FChainMaster {
     incident_journal_ = journal;
   }
 
-  /// Sizes the localization fan-out pool. 0 (the default) selects the
-  /// serial reference path; n >= 1 runs per-slave batch jobs on n pool
-  /// threads (1 thread still exercises the batched protocol). The pool is
-  /// created lazily on the next localize() and rebuilt on resize.
+  /// Sizes the localization fan-out pool. 0 (the default) runs the
+  /// per-slave batch jobs inline on the caller's thread, one after another;
+  /// n >= 1 runs them on n pool threads. The verdict is the same either way.
+  /// The pool is built here, so concurrent localize() calls share it; do not
+  /// call this while a localize() is running.
   void setWorkerThreads(int threads);
-  int workerThreads() const { return worker_threads_; }
 
   /// Health of every registered endpoint, in registration order.
   std::vector<runtime::HealthState> endpointHealth() const;
@@ -183,7 +181,7 @@ class FChainMaster {
   /// Wall-clock cutoff for one localize() (nullopt = no deadline).
   using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 
-  /// One per-slave unit of the parallel fan-out.
+  /// One per-slave unit of the fan-out.
   struct BatchJob {
     std::size_t endpoint_index = 0;
     std::vector<ComponentId> ids;  ///< caller order, this slave's subset
@@ -198,14 +196,14 @@ class FChainMaster {
                    const std::vector<ComponentId>& components,
                    runtime::EndpointHealth health);
 
-  PinpointResult localizeSerial(const std::vector<ComponentId>& components,
-                                TimeSec violation_time, Deadline deadline);
-  PinpointResult localizeParallel(const std::vector<ComponentId>& components,
-                                  TimeSec violation_time, Deadline deadline);
-  /// Issues one batch (with retries) to the job's endpoint; runs on a pool
-  /// worker. Without the watchdog it holds the endpoint's mutex for the
-  /// whole retry sequence; with it, each attempt locks inside the
-  /// sacrificial thread.
+  /// Groups components into per-slave batch jobs, runs them (inline or on
+  /// the pool) and merges the findings in caller order.
+  PinpointResult localizeBatches(const std::vector<ComponentId>& components,
+                                 TimeSec violation_time, Deadline deadline);
+  /// Issues one batch (with retries) to the job's endpoint, on the caller's
+  /// thread or a pool worker. Without the watchdog it holds the endpoint's
+  /// mutex for the whole retry sequence; with it, each attempt locks inside
+  /// the sacrificial thread.
   void runBatchJob(BatchJob& job, TimeSec violation_time, Deadline deadline);
   void mergeStats(const MasterRuntimeStats& delta);
   /// Records a request outcome on the endpoint's health and bumps the
@@ -244,8 +242,7 @@ class FChainMaster {
   std::map<ComponentId, std::size_t> routes_;  ///< component -> endpoint idx
   std::set<const void*> registered_;  ///< raw identity of slaves/endpoints
   netdep::DependencyGraph dependencies_;
-  int worker_threads_ = 0;  ///< 0 = serial reference path
-  std::unique_ptr<runtime::WorkerPool> pool_;
+  std::unique_ptr<runtime::WorkerPool> pool_;  ///< null = run jobs inline
   runtime::WatchdogConfig watchdog_;  ///< zeros = watchdog off
   persist::IncidentJournal* incident_journal_ = nullptr;  ///< not owned
 };

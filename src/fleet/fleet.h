@@ -59,8 +59,8 @@ struct FleetConfig {
   core::FChainConfig fchain;
   runtime::RetryPolicy retry;
 
-  /// Worker threads inside each shard master's own fan-out (0 = the serial
-  /// reference path).
+  /// Worker threads inside each shard master's own fan-out (0 = inline on
+  /// the caller's thread).
   int shard_worker_threads = 0;
 
   /// Threads for the cross-shard fan-out of one fleet localize() (0 =

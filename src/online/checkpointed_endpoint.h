@@ -33,14 +33,6 @@ class CheckpointedEndpoint final : public runtime::SlaveEndpoint {
     return {runtime::EndpointStatus::Ok, slave_->components()};
   }
 
-  runtime::AnalyzeReply analyze(
-      const runtime::AnalyzeRequest& request) override {
-    runtime::AnalyzeReply reply;
-    reply.status = runtime::EndpointStatus::Ok;
-    reply.finding = slave_->analyze(request.component, request.violation_time);
-    return reply;
-  }
-
   runtime::AnalyzeBatchReply analyzeBatch(
       const runtime::AnalyzeBatchRequest& request) override {
     runtime::AnalyzeBatchReply reply;

@@ -104,7 +104,8 @@ struct OnlineMonitorConfig {
   /// the trigger.
   TimeSec rearm_good_sec = 30;
 
-  /// Worker threads for the master's localization fan-out (0 = serial).
+  /// Worker threads for the master's localization fan-out (0 = inline on
+  /// the caller's thread).
   int worker_threads = 0;
 
   /// Deadline stamped on every ingest RPC (0 disables).

@@ -7,9 +7,18 @@
 // FChainMaster and FChainSlave so those failure modes become first-class:
 //
 //   FChainMaster ── SlaveEndpoint (interface) ──┬── LocalEndpoint  (in-process)
-//                                               └── FlakyEndpoint  (decorator
-//                                                    injecting drops/timeouts/
-//                                                    outages; flaky_endpoint.h)
+//     one analyzeBatch                          ├── SocketEndpoint (wire
+//     per slave                                 │    protocol; socket_endpoint.h)
+//                                               ├── FlakyEndpoint  (decorator
+//                                               │    injecting drops/timeouts/
+//                                               │    outages; flaky_endpoint.h)
+//                                               └── HungEndpoint   (decorator:
+//                                                    calls that never return;
+//                                                    hung_endpoint.h)
+//
+// analyzeBatch is the one analysis RPC: the master sends each slave hosting
+// the failing application a single batch, and analyze() is a one-element
+// batch for single-component callers.
 //
 // Every request carries a deadline; every reply carries an explicit status
 // so the master can retry, back off, and track per-slave health
@@ -48,8 +57,9 @@ inline std::string_view endpointStatusName(EndpointStatus status) {
   return "unknown";
 }
 
-/// Master RPC: analyze one component's look-back window before
-/// `violation_time`.
+/// Single-component form of the analysis RPC: analyze one component's
+/// look-back window before `violation_time`. SlaveEndpoint::analyze sends it
+/// as a one-element AnalyzeBatchRequest.
 struct AnalyzeRequest {
   ComponentId component = kNoComponent;
   TimeSec violation_time = 0;
@@ -67,8 +77,8 @@ struct AnalyzeReply {
 
 /// Batched master RPC: one request per *slave* covering every component it
 /// monitors for this localization, instead of one request per component.
-/// This is what the parallel localization engine fans out — a slave hosting
-/// k VMs costs one transport round-trip, not k.
+/// This is what the master's localization fans out — a slave hosting k VMs
+/// costs one transport round-trip, not k.
 struct AnalyzeBatchRequest {
   std::vector<ComponentId> components;
   TimeSec violation_time = 0;
@@ -125,30 +135,25 @@ class SlaveEndpoint {
   /// Lists the components this slave monitors.
   virtual ComponentListReply listComponents() = 0;
 
-  /// Runs the abnormal-change analysis for one component.
-  virtual AnalyzeReply analyze(const AnalyzeRequest& request) = 0;
-
   /// Runs the abnormal-change analysis for a batch of components in one
-  /// round-trip. The default adapter loops analyze() per component so
-  /// transports that predate the batch protocol keep working; real
-  /// implementations override it with a genuinely single request
-  /// (LocalEndpoint dispatches to FChainSlave::analyzeBatch, FlakyEndpoint
-  /// rolls one transport fate for the whole batch).
-  virtual AnalyzeBatchReply analyzeBatch(const AnalyzeBatchRequest& request) {
-    AnalyzeBatchReply reply;
-    reply.status = EndpointStatus::Ok;
-    reply.findings.reserve(request.components.size());
-    for (ComponentId id : request.components) {
-      AnalyzeRequest single;
-      single.component = id;
-      single.violation_time = request.violation_time;
-      single.deadline_ms = request.deadline_ms;
-      AnalyzeReply one = analyze(single);
-      if (one.status != EndpointStatus::Ok) {
-        return {one.status, {}, reply.latency_ms + one.latency_ms};
-      }
-      reply.findings.push_back(std::move(one.finding));
-      reply.latency_ms += one.latency_ms;
+  /// round-trip — the one analysis RPC every transport implements and the
+  /// master fans out, one request per slave.
+  virtual AnalyzeBatchReply analyzeBatch(
+      const AnalyzeBatchRequest& request) = 0;
+
+  /// Runs the abnormal-change analysis for one component: a one-element
+  /// batch. Virtual only so decorators can observe single calls.
+  virtual AnalyzeReply analyze(const AnalyzeRequest& request) {
+    AnalyzeBatchRequest batch;
+    batch.components = {request.component};
+    batch.violation_time = request.violation_time;
+    batch.deadline_ms = request.deadline_ms;
+    AnalyzeBatchReply batched = analyzeBatch(batch);
+    AnalyzeReply reply;
+    reply.status = batched.status;
+    reply.latency_ms = batched.latency_ms;
+    if (batched.status == EndpointStatus::Ok && batched.findings.size() == 1) {
+      reply.finding = std::move(batched.findings[0]);
     }
     return reply;
   }
@@ -175,13 +180,6 @@ class LocalEndpoint final : public SlaveEndpoint {
     return {EndpointStatus::Ok, slave_->components()};
   }
 
-  AnalyzeReply analyze(const AnalyzeRequest& request) override {
-    AnalyzeReply reply;
-    reply.status = EndpointStatus::Ok;
-    reply.finding = slave_->analyze(request.component, request.violation_time);
-    return reply;
-  }
-
   AnalyzeBatchReply analyzeBatch(const AnalyzeBatchRequest& request) override {
     AnalyzeBatchReply reply;
     reply.status = EndpointStatus::Ok;
@@ -194,8 +192,6 @@ class LocalEndpoint final : public SlaveEndpoint {
     slave_->ingestAt(request.component, request.t, request.sample);
     return {EndpointStatus::Ok, 0.0};
   }
-
-  const core::FChainSlave* slave() const { return slave_; }
 
  private:
   core::FChainSlave* slave_;

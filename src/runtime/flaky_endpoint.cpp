@@ -49,21 +49,6 @@ ComponentListReply FlakyEndpoint::listComponents() {
   return inner_->listComponents();
 }
 
-AnalyzeReply FlakyEndpoint::analyze(const AnalyzeRequest& request) {
-  const std::uint64_t index = requests_++;
-  double latency = 0.0;
-  const EndpointStatus status =
-      roll(index, request.violation_time, request.deadline_ms, &latency);
-  if (status != EndpointStatus::Ok) {
-    AnalyzeReply reply;
-    reply.status = status;
-    return reply;
-  }
-  AnalyzeReply reply = inner_->analyze(request);
-  reply.latency_ms += latency;
-  return reply;
-}
-
 AnalyzeBatchReply FlakyEndpoint::analyzeBatch(
     const AnalyzeBatchRequest& request) {
   const std::uint64_t index = requests_++;

@@ -45,7 +45,6 @@ class FlakyEndpoint final : public SlaveEndpoint {
 
   HostId host() const override { return inner_->host(); }
   ComponentListReply listComponents() override;
-  AnalyzeReply analyze(const AnalyzeRequest& request) override;
   /// A batch is one request on the wire: one fate roll (one request-counter
   /// tick) covers every component in it. Callers must serialize requests to
   /// one FlakyEndpoint (the master's per-endpoint mutex does); the counter

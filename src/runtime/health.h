@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <string_view>
 
 #include "common/rng.h"
 
@@ -25,15 +24,6 @@ enum class HealthState : std::uint8_t {
   Degraded,  ///< recent consecutive failures; still tried with retries
   Down,      ///< presumed dead; probed with a single attempt per localize
 };
-
-inline std::string_view healthStateName(HealthState state) {
-  switch (state) {
-    case HealthState::Healthy: return "healthy";
-    case HealthState::Degraded: return "degraded";
-    case HealthState::Down: return "down";
-  }
-  return "unknown";
-}
 
 /// Master-side request policy: attempts per analysis request plus the
 /// backoff schedule between them.

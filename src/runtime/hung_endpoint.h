@@ -86,16 +86,6 @@ class HungEndpoint final : public SlaveEndpoint {
     return inner_->listComponents();
   }
 
-  AnalyzeReply analyze(const AnalyzeRequest& request) override {
-    const InFlightGuard guard(*this);
-    if (!maybeBlock()) {
-      AnalyzeReply reply;
-      reply.status = EndpointStatus::Dropped;
-      return reply;
-    }
-    return inner_->analyze(request);
-  }
-
   AnalyzeBatchReply analyzeBatch(const AnalyzeBatchRequest& request) override {
     const InFlightGuard guard(*this);
     if (!maybeBlock()) return {EndpointStatus::Dropped, {}, 0.0};

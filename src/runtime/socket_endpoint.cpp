@@ -201,23 +201,6 @@ ComponentListReply SocketEndpoint::listComponents() {
   return *list;
 }
 
-AnalyzeReply SocketEndpoint::analyze(const AnalyzeRequest& request) {
-  // Single-component analysis rides the batch message: one protocol, one
-  // server dispatch path.
-  AnalyzeBatchRequest batch;
-  batch.components = {request.component};
-  batch.violation_time = request.violation_time;
-  batch.deadline_ms = request.deadline_ms;
-  AnalyzeBatchReply batched = analyzeBatch(batch);
-  AnalyzeReply reply;
-  reply.status = batched.status;
-  reply.latency_ms = batched.latency_ms;
-  if (batched.status == EndpointStatus::Ok && batched.findings.size() == 1) {
-    reply.finding = std::move(batched.findings[0]);
-  }
-  return reply;
-}
-
 AnalyzeBatchReply SocketEndpoint::analyzeBatch(
     const AnalyzeBatchRequest& request) {
   std::lock_guard<std::mutex> g(mutex_);

@@ -74,7 +74,6 @@ class SocketEndpoint final : public SlaveEndpoint {
   /// Slave id from the last successful handshake (0 before the first).
   HostId host() const override;
   ComponentListReply listComponents() override;
-  AnalyzeReply analyze(const AnalyzeRequest& request) override;
   AnalyzeBatchReply analyzeBatch(const AnalyzeBatchRequest& request) override;
   IngestReply ingest(const IngestRequest& request) override;
 

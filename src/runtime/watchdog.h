@@ -4,8 +4,9 @@
 // badly* — drops, timeouts, outages are reply statuses the transport
 // returns. It cannot handle an endpoint that simply never returns: a hung
 // RPC library, a slave wedged in D-state, a half-dead network connection.
-// One such call would freeze the serial localization loop (or park a pool
-// worker forever) and blow through any SLO on diagnosis latency.
+// One such call would freeze a localization running inline on the caller's
+// thread (or park a pool worker forever) and blow through any SLO on
+// diagnosis latency.
 //
 // callWithWallTimeout() bounds that: the call runs on a sacrificial thread
 // and the caller waits at most `timeout_ms` of real wall time. On timeout
@@ -32,9 +33,10 @@
 namespace fchain::runtime {
 
 struct WatchdogConfig {
-  /// Wall-time bound on one endpoint call (ms). 0 disables the per-call
-  /// watchdog: calls run inline on the caller's thread, exactly the
-  /// pre-watchdog behaviour.
+  /// Wall-time bound on one endpoint call (ms). A localization's call to a
+  /// slave is one batch covering all its components, so size this for the
+  /// slowest slave's whole batch. 0 disables the per-call watchdog: calls
+  /// run on the calling thread, exactly the pre-watchdog behaviour.
   double call_timeout_ms = 0.0;
   /// Wall-time budget for one whole localize() (ms). When exhausted the
   /// master stops issuing endpoint work; the remaining components land in

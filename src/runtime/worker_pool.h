@@ -39,8 +39,6 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  int threadCount() const { return static_cast<int>(workers_.size()); }
-
   /// Queued + currently-running tasks, readable from any thread without
   /// taking the queue lock. 0 whenever no run() is in flight — the
   /// queue-depth gauge the master records must drain back to zero after

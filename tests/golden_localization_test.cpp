@@ -173,10 +173,10 @@ TEST(GoldenLocalization, DegradedOneSlaveDown) {
                       renderPinpoint(result, incident.tv));
 }
 
-/// The goldens pin the serial reference path; the determinism guarantee
-/// (parallel == serial bit-identically) is tested exhaustively in
-/// fchain_parallel_test.cpp. This spot-check ties the two suites together:
-/// the parallel fan-out renders to the same golden bytes.
+/// The goldens pin the default inline fan-out (0 worker threads); the
+/// determinism guarantee (pooled == inline bit-identically) is tested
+/// exhaustively in fchain_parallel_test.cpp. This spot-check ties the two
+/// suites together: the pooled fan-out renders to the same golden bytes.
 TEST(GoldenLocalization, ParallelFanOutMatchesSameGolden) {
   Incident incident = makeIncident({cpuHogOnDb()}, /*seed=*/77);
   FChainMaster master;
