@@ -156,12 +156,14 @@ bool SlaveService::handleFrame(const std::vector<std::uint8_t>& frame) {
         slave_.analyzeBatch(request->components, request->violation_time);
     return reply(wire::encodeAnalyzeBatchReply(out));
   }
-  if (const auto* request = std::get_if<runtime::IngestRequest>(&message)) {
-    if (checkpointer_ != nullptr) {
-      checkpointer_->ingestAt(request->component, request->t,
-                              request->sample);
-    } else {
-      slave_.ingestAt(request->component, request->t, request->sample);
+  if (const auto* request =
+          std::get_if<runtime::IngestBatchRequest>(&message)) {
+    for (const runtime::IngestSample& sample : request->samples) {
+      if (checkpointer_ != nullptr) {
+        checkpointer_->ingestAt(sample.component, sample.t, sample.sample);
+      } else {
+        slave_.ingestAt(sample.component, sample.t, sample.sample);
+      }
     }
     runtime::IngestReply out;
     out.status = runtime::EndpointStatus::Ok;

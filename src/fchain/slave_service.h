@@ -9,9 +9,11 @@
 //                           identity hash, component claims}
 //   AnalyzeBatchRequest  -> FChainSlave::analyzeBatch (after the optional
 //                           crash-drill delay, see analyze_delay_ms)
-//   IngestRequest        -> SlaveCheckpointer::ingestAt when checkpointing
-//                           (journal-then-ingest: the sample is durable
-//                           before the reply goes out), else the raw slave
+//   IngestRequest        -> each sample of the batch, in order, through
+//                           SlaveCheckpointer::ingestAt when checkpointing
+//                           (journal-then-ingest: the batch is durable
+//                           before its one IngestReply goes out), else
+//                           straight into the slave
 //   ListComponentsRequest-> the slave's component list
 //   Shutdown             -> stops the serve loop
 //
@@ -58,8 +60,8 @@ struct SlaveServiceConfig {
 class SlaveService {
  public:
   /// The slave (and checkpointer, when given) must outlive the service.
-  /// When `checkpointer` is non-null every ingest RPC goes through it, so
-  /// a kill -9 at any moment loses at most the in-flight sample. Throws
+  /// When `checkpointer` is non-null every ingested sample goes through
+  /// it, so a kill -9 at any moment loses at most the in-flight batch. Throws
   /// std::runtime_error when the listen address cannot be bound.
   SlaveService(FChainSlave& slave, SlaveServiceConfig config,
                SlaveCheckpointer* checkpointer = nullptr);

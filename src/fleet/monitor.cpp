@@ -100,30 +100,39 @@ void FleetMonitor::ingest(ComponentId id, TimeSec t,
   monitors_[fleet_.ownerOf(id)]->ingest(id, t, sample);
 }
 
+void FleetMonitor::flushIngest() {
+  for (auto& monitor : monitors_) monitor->flushIngest();
+}
+
 bool FleetMonitor::observeLatency(std::size_t app, TimeSec t,
                                   double latency_sec) {
+  flushIngest();
   const FleetApp& state = apps_.at(app);
   return monitors_[state.shard]->observeLatency(state.local, t, latency_sec);
 }
 
 bool FleetMonitor::observeProgress(std::size_t app, TimeSec t,
                                    double progress) {
+  flushIngest();
   const FleetApp& state = apps_.at(app);
   return monitors_[state.shard]->observeProgress(state.local, t, progress);
 }
 
 bool FleetMonitor::observe(std::size_t app, const sim::StreamTick& tick) {
+  flushIngest();
   const FleetApp& state = apps_.at(app);
   return monitors_[state.shard]->observe(state.local, tick);
 }
 
 std::size_t FleetMonitor::pump() {
+  flushIngest();
   std::size_t fired = 0;
   for (auto& monitor : monitors_) fired += monitor->pump();
   return fired;
 }
 
 std::size_t FleetMonitor::drain() {
+  flushIngest();
   std::size_t fired = 0;
   for (auto& monitor : monitors_) fired += monitor->drain();
   return fired;

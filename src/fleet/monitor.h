@@ -19,6 +19,11 @@
 // through the fleet, so a fired incident's PinpointResult is byte-identical
 // to a single-monitor run over the same stream (each sample reaches the
 // shared slave exactly once, via its owner shard's ingest route).
+//
+// Each shard monitor batches its own ingest slice (OnlineMonitor header),
+// but a fire on one shard fans out to every shard's endpoints. observe*(),
+// pump() and drain() therefore first send every shard's partial batch, so
+// a fan-out never runs ahead of a sample that already arrived.
 #pragma once
 
 #include <memory>
@@ -110,6 +115,9 @@ class FleetMonitor {
     netdep::DependencyGraph deps;
     bool has_deps = false;
   };
+
+  /// Sends every shard monitor's queued ingest batches.
+  void flushIngest();
 
   core::PinpointResult runFleetLocalize(
       std::size_t fleet_app, const std::vector<ComponentId>& components,

@@ -23,7 +23,10 @@ void OnlineMonitor::addEndpoint(
     const std::vector<ComponentId>& components) {
   master_.registerEndpoint(endpoint, components);  // throws on dup claims
   const std::size_t index = transports_.size();
-  transports_.push_back({std::move(endpoint)});
+  Transport& transport = transports_.emplace_back();
+  transport.endpoint = std::move(endpoint);
+  transport.tick_samples = components.size();
+  transport.batch.samples.reserve(components.size());
   for (ComponentId id : components) ingest_routes_[id] = index;
 }
 
@@ -31,19 +34,17 @@ std::size_t OnlineMonitor::addApplication(AppSpec spec) {
   if (spec.components.empty()) {
     throw std::invalid_argument("OnlineMonitor: application with no components");
   }
-  AppState state{
+  const SloSpec slo = spec.slo;
+  apps_.push_back(AppState{
       std::move(spec),
-      sim::LatencySloMonitor(0.0, 0),  // placeholder, rebuilt below
-      sim::ProgressSloMonitor(),
-      false,
-      0,
-      0.0,
-  };
-  state.latency = sim::LatencySloMonitor(state.spec.slo.latency_threshold_sec,
-                                         state.spec.slo.sustain_sec);
-  state.progress = sim::ProgressSloMonitor(state.spec.slo.progress_window_sec,
-                                           state.spec.slo.progress_min_delta);
-  apps_.push_back(std::move(state));
+      sim::LatencySloMonitor(slo.latency_threshold_sec, slo.sustain_sec),
+      sim::ProgressSloMonitor(slo.progress_window_sec, slo.progress_min_delta),
+      /*handled=*/false,
+      /*good_streak=*/0,
+      /*progress_anchor=*/0.0,
+      /*deps=*/netdep::DependencyGraph{},
+      /*has_deps=*/false,
+  });
   return apps_.size() - 1;
 }
 
@@ -78,17 +79,25 @@ void OnlineMonitor::ingest(ComponentId id, TimeSec t,
   }
   metric_ingest_samples_.add();
 
-  runtime::IngestRequest request;
-  request.component = id;
-  request.t = t;
-  request.sample = sample;
-  request.deadline_ms = config_.ingest_deadline_ms;
+  Transport& transport = transports_[route->second];
+  transport.batch.samples.push_back({id, t, sample});
+  // A complete tick goes out inside the ingest() that completes it.
+  if (transport.batch.samples.size() >= transport.tick_samples) {
+    sendBatch(transport);
+  }
+}
+
+void OnlineMonitor::sendBatch(Transport& transport) {
+  transport.batch.deadline_ms = config_.ingest_deadline_ms;
   // Fire-and-forget: no retries (header contract). The slave's gap-fill
   // repairs a lost second on the next arrival.
-  const runtime::IngestReply reply =
-      transports_[route->second].endpoint->ingest(request);
-  if (reply.status != runtime::EndpointStatus::Ok) {
-    metric_ingest_failures_.add();
+  metric_ingest_failures_.add(transport.endpoint->ingestBatch(transport.batch));
+  transport.batch.samples.clear();  // keeps the capacity for the next tick
+}
+
+void OnlineMonitor::flushIngest() {
+  for (Transport& transport : transports_) {
+    if (!transport.batch.samples.empty()) sendBatch(transport);
   }
 }
 
@@ -119,6 +128,7 @@ bool OnlineMonitor::updateRearm(AppState& state, double good_signal) {
 
 bool OnlineMonitor::observeLatency(std::size_t app, TimeSec t,
                                    double latency_sec) {
+  flushIngest();
   AppState& state = apps_.at(app);
   clock_ = std::max(clock_, t);
   if (updateRearm(state, latency_sec)) return false;
@@ -129,6 +139,7 @@ bool OnlineMonitor::observeLatency(std::size_t app, TimeSec t,
 
 bool OnlineMonitor::observeProgress(std::size_t app, TimeSec t,
                                     double progress) {
+  flushIngest();
   AppState& state = apps_.at(app);
   clock_ = std::max(clock_, t);
   if (updateRearm(state, progress)) return false;
@@ -204,6 +215,7 @@ void OnlineMonitor::fire(std::size_t app, TimeSec tv) {
 }
 
 std::size_t OnlineMonitor::pump() {
+  flushIngest();
   std::size_t fired = 0;
   while (!pending_.empty() && cooldownExpired()) {
     const PendingTrigger next = pending_.front();
@@ -215,6 +227,7 @@ std::size_t OnlineMonitor::pump() {
 }
 
 std::size_t OnlineMonitor::drain() {
+  flushIngest();
   std::size_t fired = 0;
   while (!pending_.empty()) {
     const PendingTrigger next = pending_.front();

@@ -8,7 +8,8 @@
 // *triggered by* the violation, not requested by an operator. OnlineMonitor
 // closes that loop:
 //
-//   StreamingSource ──samples──▶ ingest() ──▶ SlaveEndpoint::ingest RPC
+//   StreamingSource ──samples──▶ ingest() ──per-slave batch──▶
+//                                     SlaveEndpoint::ingestBatch RPC
 //                  ──SLO signal─▶ observe*() ──latch──▶ FChainMaster::localize
 //
 // The master keeps no copy of the telemetry: the owning slave holds each
@@ -38,13 +39,26 @@
 //
 // The monitor owns its FChainMaster; transports registered through
 // addSlave()/addEndpoint() serve both the analysis RPCs and the streaming
-// ingest RPC (runtime::IngestRequest). Ingest is fire-and-forget: a lost
-// sample is repaired by the slave's gap-fill on the next arrival, so there
-// is no retry path to storm a degraded slave with.
+// ingest RPC (runtime::IngestBatchRequest). Ingest is fire-and-forget: a
+// lost sample is repaired by the slave's gap-fill on the next arrival, so
+// there is no retry path to storm a degraded slave with.
+//
+// When a sample reaches its slave: ingest() queues it in its slave's batch
+// and the batch goes out, as one ingestBatch call,
+//   - inside the ingest() that fills it to as many samples as the slave has
+//     components here — a complete tick reaches the slave before ingest()
+//     returns, so a caller may inspect the slave or call master().localize
+//     straight after the tick's last ingest();
+//   - otherwise (a sample of the tick was dropped upstream) at the start of
+//     the next observe*(), pump() or drain(), or an explicit flushIngest().
+// A wire transport pays one round-trip per batch; in-process transports
+// apply the batch sample by sample, so their behaviour is unchanged.
 //
 // The driver loop contract, per simulated second:
 //   1. ingest() every component's sample for tick t;
-//   2. observe*() each application's SLO signal at t (may fire);
+//   2. observe*() each application's SLO signal at t (may fire) — this
+//      first sends any partial batches, so a synchronous fire sees every
+//      sample of t that arrived;
 //   3. pump() once, so queued incidents fire on tick boundaries only —
 //      every registered slave then holds *complete* data through t when a
 //      late incident fans out.
@@ -187,8 +201,9 @@ class OnlineMonitor {
 
   // --- Streaming ---------------------------------------------------------
 
-  /// Feeds one component-second to the owning slave. Advances the
-  /// monitor's sample clock.
+  /// Queues one component-second for the owning slave; sends the slave's
+  /// batch once it holds a sample per component (see the header comment).
+  /// Advances the monitor's sample clock.
   void ingest(ComponentId id, TimeSec t,
               const std::array<double, kMetricCount>& sample);
   void ingest(const sim::StreamSample& sample) {
@@ -201,6 +216,11 @@ class OnlineMonitor {
   bool observeProgress(std::size_t app, TimeSec t, double progress);
   /// Dispatches on the app's SloSpec::Kind from a StreamTick.
   bool observe(std::size_t app, const sim::StreamTick& tick);
+
+  /// Sends every slave's queued (partial) ingest batch now. observe*(),
+  /// pump() and drain() call it first; a caller that fans out to these
+  /// slaves from elsewhere (FleetMonitor) calls it before the fan-out.
+  void flushIngest();
 
   /// Fires queued incidents whose cooldown has expired (call once per tick,
   /// after every ingest/observe of that tick). Returns the number fired.
@@ -227,7 +247,8 @@ class OnlineMonitor {
 
   /// The master's registry, extended with the monitor's own instruments:
   ///   online.ingest_samples    (counter: samples routed to a slave)
-  ///   online.ingest_failures   (counter: ingest RPCs lost / unroutable)
+  ///   online.ingest_failures   (counter: samples lost in transit or
+  ///                             unroutable; a lost batch adds its size)
   ///   online.slo_latches       (counter: SLO violations latched)
   ///   online.triggers          (counter: localizations auto-triggered)
   ///   online.incidents_queued  (counter: latches deferred by a cooldown)
@@ -270,7 +291,13 @@ class OnlineMonitor {
 
   struct Transport {
     std::shared_ptr<runtime::SlaveEndpoint> endpoint;
+    /// Components routed here: a batch this size is a complete tick.
+    std::size_t tick_samples = 0;
+    /// Queued samples; cleared after each send, so its capacity is reused.
+    runtime::IngestBatchRequest batch;
   };
+  /// Sends `transport`'s queued batch and counts the samples lost.
+  void sendBatch(Transport& transport);
   std::vector<Transport> transports_;
   std::map<ComponentId, std::size_t> ingest_routes_;
 

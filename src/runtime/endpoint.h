@@ -18,7 +18,10 @@
 //
 // analyzeBatch is the one analysis RPC: the master sends each slave hosting
 // the failing application a single batch, and analyze() is a one-element
-// batch for single-component callers.
+// batch for single-component callers. Streaming ingest is batched the same
+// way: the online monitor queues each slave's samples and sends one
+// ingestBatch per slave per tick. Only the wire transport turns a batch into
+// one request; everything in-process takes the per-sample ingest() default.
 //
 // Every request carries a deadline; every reply carries an explicit status
 // so the master can retry, back off, and track per-slave health
@@ -31,6 +34,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -117,6 +121,22 @@ struct IngestRequest {
   double deadline_ms = 0.0;
 };
 
+/// One component-second inside an IngestBatchRequest.
+struct IngestSample {
+  ComponentId component = kNoComponent;
+  TimeSec t = 0;
+  std::array<double, kMetricCount> sample{};
+};
+
+/// Batched streaming ingest: every queued sample bound for one slave, in
+/// arrival order. The online monitor sends one per slave per tick, so a
+/// slave hosting k VMs costs one transport round-trip per second, not k.
+struct IngestBatchRequest {
+  std::vector<IngestSample> samples;
+  /// Per-request deadline in (simulated) milliseconds; 0 disables it.
+  double deadline_ms = 0.0;
+};
+
 struct IngestReply {
   EndpointStatus status = EndpointStatus::Unavailable;
   /// Simulated service latency of this request.
@@ -158,12 +178,30 @@ class SlaveEndpoint {
     return reply;
   }
 
-  /// Pushes one second of samples to the slave (online monitoring runtime).
-  /// The default rejects the request so analysis-only transports predating
-  /// the streaming protocol stay valid implementations.
+  /// Pushes one second of samples for one component to the slave (online
+  /// monitoring runtime). The default rejects the request so analysis-only
+  /// transports predating the streaming protocol stay valid implementations.
   virtual IngestReply ingest(const IngestRequest& request) {
     (void)request;
     return {EndpointStatus::Unavailable, 0.0};
+  }
+
+  /// Pushes a batch of samples, applied in order; returns how many were
+  /// lost. The default sends each sample through ingest(), so in-process
+  /// transports and chaos decorators keep one call (and one fate roll) per
+  /// sample. A wire transport overrides it with a single round-trip, where
+  /// a lost request loses the whole batch.
+  virtual std::size_t ingestBatch(const IngestBatchRequest& batch) {
+    std::size_t lost = 0;
+    IngestRequest request;
+    request.deadline_ms = batch.deadline_ms;
+    for (const IngestSample& sample : batch.samples) {
+      request.component = sample.component;
+      request.t = sample.t;
+      request.sample = sample.sample;
+      if (ingest(request).status != EndpointStatus::Ok) ++lost;
+    }
+    return lost;
   }
 };
 

@@ -218,11 +218,11 @@ AnalyzeBatchReply SocketEndpoint::analyzeBatch(
   return std::move(*batched);
 }
 
-IngestReply SocketEndpoint::ingest(const IngestRequest& request) {
+IngestReply SocketEndpoint::ingestFrame(
+    const std::vector<std::uint8_t>& frame, double deadline_ms) {
   std::lock_guard<std::mutex> g(mutex_);
   wire::Message reply;
-  const EndpointStatus status = roundTripLocked(
-      wire::encodeIngestRequest(request), request.deadline_ms, reply);
+  const EndpointStatus status = roundTripLocked(frame, deadline_ms, reply);
   if (status != EndpointStatus::Ok) return {status, 0.0};
   const auto* ingested = std::get_if<IngestReply>(&reply);
   if (ingested == nullptr) {
@@ -230,6 +230,17 @@ IngestReply SocketEndpoint::ingest(const IngestRequest& request) {
     return {EndpointStatus::Dropped, 0.0};
   }
   return *ingested;
+}
+
+IngestReply SocketEndpoint::ingest(const IngestRequest& request) {
+  return ingestFrame(wire::encodeIngestRequest(request), request.deadline_ms);
+}
+
+std::size_t SocketEndpoint::ingestBatch(const IngestBatchRequest& batch) {
+  if (batch.samples.empty()) return 0;
+  const IngestReply reply =
+      ingestFrame(wire::encodeIngestBatchRequest(batch), batch.deadline_ms);
+  return reply.status == EndpointStatus::Ok ? 0 : batch.samples.size();
 }
 
 }  // namespace fchain::runtime

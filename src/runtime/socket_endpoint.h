@@ -24,6 +24,9 @@
 // checkpoint-recovered slave serving the same manifest hashes identically
 // and re-registers transparently.
 //
+// Streaming ingest sends one frame per batch (ingestBatch); ingest() is a
+// one-sample batch, since the wire carries only the batch form.
+//
 // Metrics (registered in the configured obs registry):
 //   runtime.socket.connects      successful connects + handshakes
 //   runtime.socket.reconnects    successful connects after the first
@@ -75,7 +78,11 @@ class SocketEndpoint final : public SlaveEndpoint {
   HostId host() const override;
   ComponentListReply listComponents() override;
   AnalyzeBatchReply analyzeBatch(const AnalyzeBatchRequest& request) override;
+  /// A one-sample batch: the wire has a single ingest message.
   IngestReply ingest(const IngestRequest& request) override;
+  /// The whole batch in one request frame and one reply frame; any failure
+  /// loses every sample in it.
+  std::size_t ingestBatch(const IngestBatchRequest& batch) override;
 
   /// Identity hash from the last successful handshake (0 before the first).
   std::uint64_t identity() const;
@@ -94,6 +101,9 @@ class SocketEndpoint final : public SlaveEndpoint {
   /// message; on failure the connection is closed and the status says why.
   EndpointStatus roundTripLocked(const std::vector<std::uint8_t>& frame,
                                  double deadline_ms, wire::Message& reply);
+  /// Round-trips one encoded ingest frame and expects an IngestReply.
+  IngestReply ingestFrame(const std::vector<std::uint8_t>& frame,
+                          double deadline_ms);
 
   SocketEndpointConfig config_;
   mutable std::mutex mutex_;

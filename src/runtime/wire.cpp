@@ -34,6 +34,16 @@ std::vector<ComponentId> decodeComponents(Decoder& d) {
   return ids;
 }
 
+/// component u32 + t i64 + kMetricCount f64.
+constexpr std::size_t kIngestSampleBytes = 4 + 8 + 8 * kMetricCount;
+
+void encodeIngestSample(Encoder& e, ComponentId component, TimeSec t,
+                        const std::array<double, kMetricCount>& sample) {
+  e.u32(component);
+  e.i64(t);
+  for (double v : sample) e.f64(v);
+}
+
 EndpointStatus decodeStatus(Decoder& d) {
   const std::uint8_t raw = d.u8();
   if (raw > static_cast<std::uint8_t>(EndpointStatus::Unavailable)) {
@@ -133,11 +143,18 @@ Message decodeBody(MsgType type, Decoder& d) {
       return msg;
     }
     case MsgType::IngestRequest: {
-      IngestRequest msg;
-      msg.component = d.u32();
-      msg.t = d.i64();
+      IngestBatchRequest msg;
       msg.deadline_ms = d.f64();
-      for (std::size_t i = 0; i < kMetricCount; ++i) msg.sample[i] = d.f64();
+      const std::uint64_t n = d.u64();
+      if (n > d.remaining() / kIngestSampleBytes) {
+        d.fail("ingest sample count exceeds remaining bytes");
+      }
+      msg.samples.resize(static_cast<std::size_t>(n));
+      for (IngestSample& sample : msg.samples) {
+        sample.component = d.u32();
+        sample.t = d.i64();
+        for (double& v : sample.sample) v = d.f64();
+      }
       return msg;
     }
     case MsgType::IngestReply: {
@@ -232,10 +249,20 @@ std::vector<std::uint8_t> encodeAnalyzeBatchReply(
 
 std::vector<std::uint8_t> encodeIngestRequest(const IngestRequest& msg) {
   Encoder body;
-  body.u32(msg.component);
-  body.i64(msg.t);
   body.f64(msg.deadline_ms);
-  for (double v : msg.sample) body.f64(v);
+  body.u64(1);
+  encodeIngestSample(body, msg.component, msg.t, msg.sample);
+  return frameOf(MsgType::IngestRequest, std::move(body));
+}
+
+std::vector<std::uint8_t> encodeIngestBatchRequest(
+    const IngestBatchRequest& msg) {
+  Encoder body;
+  body.f64(msg.deadline_ms);
+  body.u64(msg.samples.size());
+  for (const IngestSample& sample : msg.samples) {
+    encodeIngestSample(body, sample.component, sample.t, sample.sample);
+  }
   return frameOf(MsgType::IngestRequest, std::move(body));
 }
 

@@ -23,8 +23,9 @@
 //   ------ steady state ----------------------------------------
 //   AnalyzeBatchRequest         ->
 //                               <-       AnalyzeBatchReply
-//   IngestRequest               ->
-//                               <-       IngestReply
+//   IngestRequest{deadline,     ->
+//     N x (component, t, sample)}
+//                               <-       IngestReply (one per batch)
 //   ListComponentsRequest       ->
 //                               <-       ListComponentsReply
 //   ------ errors ----------------------------------------------
@@ -54,7 +55,9 @@ namespace fchain::runtime::wire {
 
 /// "FCWR" little-endian, sibling of persist's "FCSN"/"FCJL"/"FCIJ" magics.
 inline constexpr std::uint32_t kWireMagic = 0x52574346;
-inline constexpr std::uint32_t kWireVersion = 1;
+/// Version 2: tag 5 (IngestRequest) carries a batch of samples instead of
+/// one. Version 1 peers are refused at the handshake.
+inline constexpr std::uint32_t kWireVersion = 2;
 
 /// Upper bound on any frame payload. A peer announcing more is lying or
 /// corrupt (the largest legitimate message — a batch reply with findings for
@@ -68,7 +71,7 @@ enum class MsgType : std::uint8_t {
   HelloReply = 2,
   AnalyzeBatchRequest = 3,
   AnalyzeBatchReply = 4,
-  IngestRequest = 5,
+  IngestRequest = 5,  ///< a batch: decodes to runtime::IngestBatchRequest
   IngestReply = 6,
   ListComponentsRequest = 7,
   ListComponentsReply = 8,
@@ -107,7 +110,7 @@ struct Shutdown {};
 
 using Message =
     std::variant<Hello, HelloReply, AnalyzeBatchRequest, AnalyzeBatchReply,
-                 IngestRequest, IngestReply, ListComponentsRequest,
+                 IngestBatchRequest, IngestReply, ListComponentsRequest,
                  ComponentListReply, WireError, Shutdown>;
 
 /// Deterministic identity of a slave's claim: FNV-1a over the host id and
@@ -125,7 +128,10 @@ std::vector<std::uint8_t> encodeHelloReply(const HelloReply& msg);
 std::vector<std::uint8_t> encodeAnalyzeBatchRequest(
     const AnalyzeBatchRequest& msg);
 std::vector<std::uint8_t> encodeAnalyzeBatchReply(const AnalyzeBatchReply& msg);
+/// One-sample batch: the same tag-5 frame as encodeIngestBatchRequest.
 std::vector<std::uint8_t> encodeIngestRequest(const IngestRequest& msg);
+std::vector<std::uint8_t> encodeIngestBatchRequest(
+    const IngestBatchRequest& msg);
 std::vector<std::uint8_t> encodeIngestReply(const IngestReply& msg);
 std::vector<std::uint8_t> encodeListComponentsRequest();
 std::vector<std::uint8_t> encodeListComponentsReply(

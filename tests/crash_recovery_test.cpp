@@ -443,7 +443,9 @@ TEST(Watchdog, HungEndpointIsBoundedIntoDegradedCoverage) {
 TEST(Watchdog, OpenBreakerShedsWithoutSpendingWallTime) {
   HungDeployment d = makeHungDeployment();
   runtime::WatchdogConfig config;
-  config.call_timeout_ms = 50.0;
+  // Far above what the healthy front slave's 2-component batch takes, even
+  // under a sanitizer, so only the hung slave can trip the watchdog.
+  config.call_timeout_ms = 500.0;
   config.breaker_trip_after = 1;
   config.breaker_probe_after = 100;  // effectively no probes in this test
   d.master->setWatchdog(config);
@@ -452,6 +454,7 @@ TEST(Watchdog, OpenBreakerShedsWithoutSpendingWallTime) {
   (void)d.master->localize({0, 1, 2, 3}, 380);  // opens the breaker
 
   // With the breaker open, further localizations shed 2/3 instantly.
+  const std::size_t trips_before = d.master->runtimeStats().watchdog_trips;
   const auto start = std::chrono::steady_clock::now();
   const PinpointResult result = d.master->localize({0, 1, 2, 3}, 380);
   const double elapsed_ms =
@@ -459,7 +462,10 @@ TEST(Watchdog, OpenBreakerShedsWithoutSpendingWallTime) {
           std::chrono::steady_clock::now() - start)
           .count();
   EXPECT_EQ(result.unanalyzed, (std::vector<ComponentId>{2, 3}));
-  EXPECT_LT(elapsed_ms, 50.0);  // no watchdog wait was spent at all
+  // No watchdog wait was spent at all: nothing tripped, and the call came
+  // back before a single timeout could have elapsed.
+  EXPECT_EQ(d.master->runtimeStats().watchdog_trips, trips_before);
+  EXPECT_LT(elapsed_ms, config.call_timeout_ms);
   drainHung(*d.hung);
 }
 

@@ -5,7 +5,7 @@
 // with persist::CorruptDataError carrying the byte offset of the damage —
 // never crashed on, never decoded as a garbage message. These tests grind
 // that contract with a corpus of valid frames (handshake both directions,
-// analyze request/reply with real findings, streaming ingest — checked into
+// analyze request/reply with real findings, a streaming-ingest batch — checked into
 // tests/fixtures/wire_frames/ so the wire format itself is pinned in
 // version control) mutated by
 //   - exhaustive truncation: every proper prefix of every frame;
@@ -97,15 +97,25 @@ std::vector<std::uint8_t> buildAnalyzeReply() {
   return encodeAnalyzeBatchReply(msg);
 }
 
+/// A streaming-ingest batch: 2 components x 2 ticks, one sample of the
+/// second tick still to come, so the sweeps cover the batch layout.
 std::vector<std::uint8_t> buildIngestRequest() {
-  IngestRequest msg;
-  msg.component = 2;
-  msg.t = 1234;
+  IngestBatchRequest msg;
   msg.deadline_ms = 50.0;
-  for (std::size_t i = 0; i < kMetricCount; ++i) {
-    msg.sample[i] = 10.0 * static_cast<double>(i + 1) + 0.25;
+  const std::pair<ComponentId, TimeSec> keys[] = {
+      {2, 1234}, {5, 1234}, {2, 1235}};
+  for (const auto& [component, t] : keys) {
+    IngestSample sample;
+    sample.component = component;
+    sample.t = t;
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+      sample.sample[i] = 10.0 * static_cast<double>(i + 1) + 0.25 +
+                         static_cast<double>(component) +
+                         0.5 * static_cast<double>(t - 1234);
+    }
+    msg.samples.push_back(sample);
   }
-  return encodeIngestRequest(msg);
+  return encodeIngestBatchRequest(msg);
 }
 
 // --- Fixture management ---------------------------------------------------
@@ -216,9 +226,34 @@ TEST(WireFuzz, CorpusRoundTripsBitExactly) {
             4.9406564584124654e-324);
 
   const Message ingest_msg = decodeMessage(entries[4].bytes);
-  const auto& ingest = std::get<IngestRequest>(ingest_msg);
-  EXPECT_EQ(ingest.component, 2u);
-  EXPECT_EQ(ingest.t, 1234);
+  const auto& ingest = std::get<IngestBatchRequest>(ingest_msg);
+  EXPECT_EQ(ingest.deadline_ms, 50.0);
+  ASSERT_EQ(ingest.samples.size(), 3u);
+  EXPECT_EQ(ingest.samples[0].component, 2u);
+  EXPECT_EQ(ingest.samples[0].t, 1234);
+  EXPECT_EQ(ingest.samples[1].component, 5u);
+  EXPECT_EQ(ingest.samples[2].component, 2u);
+  EXPECT_EQ(ingest.samples[2].t, 1235);
+  EXPECT_EQ(ingest.samples[2].sample[5], 60.25 + 2.0 + 0.5);
+}
+
+// The single-sample encoder is a one-element batch on the same tag.
+TEST(WireFuzz, SingleIngestRequestIsAOneSampleBatch) {
+  IngestRequest single;
+  single.component = 9;
+  single.t = 77;
+  single.deadline_ms = 5.0;
+  single.sample.fill(1.5);
+  IngestBatchRequest batch;
+  batch.deadline_ms = 5.0;
+  batch.samples.push_back({9, 77, single.sample});
+  EXPECT_EQ(encodeIngestRequest(single), encodeIngestBatchRequest(batch));
+  const Message decoded = decodeMessage(encodeIngestRequest(single));
+  const auto& got = std::get<IngestBatchRequest>(decoded);
+  ASSERT_EQ(got.samples.size(), 1u);
+  EXPECT_EQ(got.samples[0].component, 9u);
+  EXPECT_EQ(got.samples[0].t, 77);
+  EXPECT_EQ(got.samples[0].sample, single.sample);
 }
 
 // The identity hash is what reconnect idempotence and the split-brain guard
@@ -384,6 +419,25 @@ TEST(WireFuzz, ValidlyFramedGarbagePayloadsAreRejected) {
     payload.u64(1);      // one slot
     payload.u8(2);       // presence flag must be 0/1
     EXPECT_THROW(decodeMessage(framed(payload.buffer())), CorruptDataError);
+  }
+  // IngestRequest announcing more samples than the payload holds: refused
+  // at the count field, before the batch is allocated.
+  {
+    persist::Encoder payload;
+    payload.u8(static_cast<std::uint8_t>(MsgType::IngestRequest));
+    payload.f64(0.0);        // deadline
+    payload.u64(1u << 30);   // sample count
+    payload.u32(2);          // one (truncated) sample's component
+    try {
+      decodeMessage(framed(payload.buffer()));
+      FAIL() << "oversized ingest sample count decoded successfully";
+    } catch (const CorruptDataError& error) {
+      EXPECT_NE(std::string(error.what()).find("sample count"),
+                std::string::npos)
+          << error.what();
+      // Offset of the damage inside the payload: just past the count.
+      EXPECT_EQ(error.offset(), 1u + 8u + 8u);
+    }
   }
   // IngestReply with an out-of-range status.
   {
